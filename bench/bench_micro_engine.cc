@@ -4,9 +4,10 @@
 //
 // Invoked with --engine-json=PATH the binary instead runs a fixed engine
 // harness and writes BENCH_engine.json: events/sec and firings/sec of the
-// event queue and the SAN executor (incremental vs forced full-rescan
-// refresh), plus heap allocations per event in steady state — the CI smoke
-// step asserts the latter is zero.
+// event queue, the SAN executor (incremental vs forced full-rescan
+// refresh) and the DES, plus heap allocations per event in steady state —
+// the CI smoke step asserts the latter is zero — and the DES-to-SAN
+// events/sec ratio.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,9 +17,7 @@
 #include <cstring>
 #include <new>
 #include <string>
-#include <vector>
 
-#include "src/model/des_batch.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/model/san_model.h"
@@ -116,25 +115,6 @@ void BM_DesModelSimYear(benchmark::State& state) {
   state.SetLabel("items = simulated hours");
 }
 BENCHMARK(BM_DesModelSimYear);
-
-void BM_DesBatchSimYear(benchmark::State& state) {
-  // The batched lockstep engine: one worker advancing `range(0)`
-  // replications together.  Items are aggregate simulated hours, so the
-  // ratio to BM_DesModelSimYear is the per-worker speedup.
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t r = 0; r < width; ++r) seeds.push_back(seed++);
-    ckptsim::DesBatch batch(Parameters{}, std::move(seeds));
-    const auto results = batch.run(0.0, 100.0 * kHour);
-    benchmark::DoNotOptimize(results[0].useful_fraction);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(width) * 100);
-  state.SetLabel("items = aggregate simulated hours");
-}
-BENCHMARK(BM_DesBatchSimYear)->Arg(4)->Arg(16);
 
 void BM_SanModelSimYear(benchmark::State& state) {
   const ckptsim::SanCheckpointModel model{Parameters{}};
@@ -271,8 +251,8 @@ EngineSample run_executor_window(const ckptsim::san::Model& m, bool full_rescan,
   return s;
 }
 
-EngineSample run_queue_window(std::uint64_t events, ckptsim::sim::SchedulerKind kind) {
-  ckptsim::sim::EventQueue q(kind);
+EngineSample run_queue_window(std::uint64_t events) {
+  ckptsim::sim::EventQueue q;
   std::uint64_t counter = 0;
   // Self-rescheduling payload mirroring the executor's callback shape
   // (pointer + index); warm-up settles the heap capacity and slot table.
@@ -294,15 +274,14 @@ EngineSample run_queue_window(std::uint64_t events, ckptsim::sim::SchedulerKind 
   return s;
 }
 
-/// One sequential DES replication per seed, the per-replication driver's
-/// cost model (construct + run); events aggregate over the replications.
-EngineSample run_des_sequential(const Parameters& p, std::size_t reps, double horizon,
-                                ckptsim::sim::SchedulerKind kind) {
+/// One DES replication per seed, the per-replication driver's cost model
+/// (construct + run); events aggregate over the replications.
+EngineSample run_des(const Parameters& p, std::size_t reps, double horizon) {
   EngineSample s;
   const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
   const auto t0 = Clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
-    ckptsim::DesModel model(p, ckptsim::sim::replication_seed(20260808, r), kind);
+    ckptsim::DesModel model(p, ckptsim::sim::replication_seed(20260808, r));
     const auto result = model.run(0.0, horizon);
     benchmark::DoNotOptimize(result.useful_fraction);
     s.events += model.queue_stats().fired;
@@ -313,32 +292,12 @@ EngineSample run_des_sequential(const Parameters& p, std::size_t reps, double ho
   return s;
 }
 
-/// The same replications advanced in lockstep by the batched SoA engine.
-EngineSample run_des_batched(const Parameters& p, std::size_t reps, double horizon) {
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t r = 0; r < reps; ++r) {
-    seeds.push_back(ckptsim::sim::replication_seed(20260808, r));
-  }
-  EngineSample s;
-  const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-  const auto t0 = Clock::now();
-  ckptsim::DesBatch batch(p, std::move(seeds));
-  const auto results = batch.run(0.0, horizon);
-  benchmark::DoNotOptimize(results[0].useful_fraction);
-  for (std::size_t r = 0; r < reps; ++r) s.events += batch.queue_stats(r).fired;
-  s.seconds = seconds_since(t0);
-  s.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-  s.firings = s.events;
-  return s;
-}
-
-int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind) {
+int run_engine_report(const std::string& path) {
   ckptsim::obs::JsonWriter w;
   w.begin_object();
-  w.kv("schema", "ckptsim/bench-engine/v1");
-  w.kv("scheduler", std::string(ckptsim::sim::to_string(kind)));
+  w.kv("schema", "ckptsim/bench-engine/v2");
 
-  write_sample(w, "event_queue", run_queue_window(2'000'000, kind));
+  write_sample(w, "event_queue", run_queue_window(2'000'000));
 
   // The paper's 12-submodel checkpoint model: the real hot path.
   const ckptsim::SanCheckpointModel model{Parameters{}};
@@ -359,25 +318,21 @@ int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind)
   w.kv("san_wide_128_speedup_vs_full_rescan",
        wide_inc.seconds > 0.0 ? wide_full.seconds / wide_inc.seconds : 0.0);
 
-  // The DES engine at the paper's largest machine (256K processors):
-  // sequential one-model-at-a-time vs the batched lockstep engine over the
-  // same replication seeds (bit-identical results — tests/test_des_batch.cc
-  // pins that; this section tracks the aggregate events/sec ratio).  These
-  // windows include model construction, the cost the replication drivers
+  // The DES engine at the paper's largest machine (256K processors).  The
+  // window includes model construction, the cost the replication drivers
   // actually pay, so allocs_per_event is amortized-small instead of zero.
+  // The DES exists to be the fast engine: its events/sec over the SAN
+  // executor's on the paper model, both measured in this process, is the
+  // ratio CI gates on.
   Parameters big;
   big.num_processors = 262144;
-  constexpr std::size_t kDesReps = 8;
-  constexpr double kDesHorizon = 600.0 * kHour;
-  const auto des_seq = run_des_sequential(big, kDesReps, kDesHorizon, kind);
-  const auto des_batch = run_des_batched(big, kDesReps, kDesHorizon);
-  write_sample(w, "des_sequential_256k", des_seq);
-  write_sample(w, "des_batched_256k", des_batch);
-  w.kv("des_batched_speedup_vs_sequential",
-       des_batch.seconds > 0.0 && des_seq.events > 0
-           ? (static_cast<double>(des_batch.events) / des_batch.seconds) /
-                 (static_cast<double>(des_seq.events) / des_seq.seconds)
-           : 0.0);
+  const auto des = run_des(big, /*reps=*/8, /*horizon=*/600.0 * kHour);
+  write_sample(w, "des_256k", des);
+  const auto per_sec = [](const EngineSample& s) {
+    return s.seconds > 0.0 ? static_cast<double>(s.events) / s.seconds : 0.0;
+  };
+  w.kv("des_speedup_vs_san",
+       per_sec(ckpt_inc) > 0.0 ? per_sec(des) / per_sec(ckpt_inc) : 0.0);
 
   w.end_object();
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -395,20 +350,14 @@ int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --scheduler=heap|calendar selects the EventQueue backend for the
-  // engine-json harness (results are identical; throughput differs).
-  auto kind = ckptsim::sim::SchedulerKind::kBinaryHeap;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     constexpr const char* kFlag = "--engine-json=";
-    constexpr const char* kSched = "--scheduler=";
     if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
       json_path = argv[i] + std::strlen(kFlag);
-    } else if (std::strncmp(argv[i], kSched, std::strlen(kSched)) == 0) {
-      kind = ckptsim::sim::parse_scheduler_kind(argv[i] + std::strlen(kSched));
     }
   }
-  if (json_path != nullptr) return run_engine_report(json_path, kind);
+  if (json_path != nullptr) return run_engine_report(json_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -99,7 +99,6 @@ void RunSpec::validate() const {
   if (!(confidence_level > 0.0 && confidence_level < 1.0)) {
     fail("confidence_level must be in (0, 1)");
   }
-  if (batch == 0) fail("batch must be >= 1");
   if (snapshot_every_events > 0 && snapshot_dir.empty()) {
     fail("snapshot_every_events needs snapshot_dir");
   }

@@ -8,7 +8,6 @@
 
 #include "src/core/fault.h"
 #include "src/core/thread_pool.h"
-#include "src/sim/event_queue.h"
 #include "src/stats/confidence.h"
 #include "src/stats/sequential.h"
 #include "src/stats/summary.h"
@@ -123,22 +122,6 @@ struct RunSpec {
   double confidence_level = 0.95;
   ExecSpec exec;  ///< worker threads; results are identical for any jobs
 
-  /// Event-queue backend every replication runs on (binary heap / calendar
-  /// queue).  Like `exec`, a pure performance knob: both backends fire the
-  /// same events in the same order, so results are bit-identical and the
-  /// choice stays out of sweep-journal fingerprints.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
-
-  /// Replications one worker advances in lockstep (DES engine only).  1 =
-  /// the classic one-model-at-a-time path; > 1 enables the batched
-  /// structure-of-arrays engine, which walks `batch` replications through
-  /// their timelines together sharing dispatch and bulk RNG draws.
-  /// Replication r draws from sim::replication_seed(seed, r) regardless of
-  /// batch placement, so results are bit-identical for any value; like
-  /// `exec.jobs` it never enters journal fingerprints.  Ignored (treated
-  /// as 1) for the SAN engine, job mode, and fault-injection runs.
-  std::size_t batch = 1;
-
   /// Precision-driven replication control.  When enabled
   /// (rel_precision > 0), the drivers ignore `replications` and instead run
   /// deterministic rounds — min_replications first, then geometrically
@@ -171,9 +154,8 @@ struct RunSpec {
   /// same post-fire boundary the watchdog uses) and, on a later identical
   /// run, resumes from the snapshot instead of starting over — snapshot/
   /// restore/continue is bit-identical to an uninterrupted run.  A snapshot
-  /// is deleted when its replication completes.  Like `exec`/`batch` this
-  /// never enters journal fingerprints (it cannot change results); it does
-  /// force the non-batched DES path.  0 = off.
+  /// is deleted when its replication completes.  Like `exec` this never
+  /// enters journal fingerprints (it cannot change results).  0 = off.
   std::uint64_t snapshot_every_events = 0;
 
   /// Directory for snapshot files (one per in-flight replication).  Must

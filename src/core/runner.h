@@ -50,7 +50,6 @@ enum class EngineKind {
 [[nodiscard]] ReplicationResult run_replication(
     const Parameters& params, EngineKind engine, std::uint64_t seed, double transient,
     double horizon, obs::ReplicationProbe* probe = nullptr, std::uint64_t max_events = 0,
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap,
     const SnapshotSpec* snapshot = nullptr);
 
 /// Run-context fingerprint embedded in (and checked against) every
@@ -89,7 +88,6 @@ struct ReplicationOutcome {
     double transient, double horizon, const FailurePolicy& policy, const WatchdogSpec& watchdog,
     obs::ReplicationProbe* probe,
     const std::function<void(std::size_t, std::size_t)>& fault_injection,
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap,
     const SnapshotSpec* snapshot = nullptr);
 
 }  // namespace detail

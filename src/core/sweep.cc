@@ -101,7 +101,7 @@ void sweep_adaptive(SweepSeries& series, const std::vector<double>& xs,
       state[q].outcomes[r] = detail::run_replication_guarded(
           series.points[p].params, engine, spec.seed, r, spec.transient, spec.horizon,
           spec.on_failure, spec.watchdog, spec.metrics != nullptr ? &probe : nullptr,
-          spec.fault_injection, spec.scheduler, snap.enabled() ? &snap : nullptr);
+          spec.fault_injection, snap.enabled() ? &snap : nullptr);
       if (!state[q].outcomes[r].ok && spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
         bail.store(true, std::memory_order_relaxed);
       }
@@ -288,7 +288,7 @@ SweepSeries sweep(std::string label, const Parameters& base, const std::vector<d
       grid[q][r] = detail::run_replication_guarded(
           series.points[p].params, engine, spec.seed, r, spec.transient, spec.horizon,
           spec.on_failure, spec.watchdog, spec.metrics != nullptr ? &probe : nullptr,
-          spec.fault_injection, spec.scheduler, snap.enabled() ? &snap : nullptr);
+          spec.fault_injection, snap.enabled() ? &snap : nullptr);
       if (!grid[q][r].ok && spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
         bail.store(true, std::memory_order_relaxed);
       }

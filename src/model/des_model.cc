@@ -1,9 +1,11 @@
 #include "src/model/des_model.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/snapshot/state_io.h"
 
@@ -58,17 +60,20 @@ RunCounters load_counters(snapshot::StateReader& r) {
 }
 }  // namespace
 
-DesModel::DesModel(const Parameters& params, std::uint64_t seed,
-                   sim::SchedulerKind scheduler)
+DesModel::DesModel(const Parameters& params, std::uint64_t seed, std::uint32_t num_slots)
     : p_(params),
       io_timing_(params),
       workload_(params),
       rates_(params),
-      engine_(seed, scheduler),
-      rng_{engine_.stream(kSeedNames[0]), engine_.stream(kSeedNames[1]),
-           engine_.stream(kSeedNames[2]), engine_.stream(kSeedNames[3]),
-           engine_.stream(kSeedNames[4]), engine_.stream(kSeedNames[5]),
-           engine_.stream(kSeedNames[6]), engine_.stream(kSeedNames[7])} {
+      pool_(seed),
+      rng_{pool_.stream(kSeedNames[0]), pool_.stream(kSeedNames[1]),
+           pool_.stream(kSeedNames[2]), pool_.stream(kSeedNames[3]),
+           pool_.stream(kSeedNames[4]), pool_.stream(kSeedNames[5]),
+           pool_.stream(kSeedNames[6]), pool_.stream(kSeedNames[7])},
+      num_slots_(num_slots) {
+  if (num_slots_ < kNumBaseSlots || num_slots_ > kMaxSlots) {
+    throw std::logic_error("DesModel: slot count out of range");
+  }
   p_.validate();
   if (p_.failure_distribution == FailureDistribution::kWeibull &&
       rates_.independent_rate > 0.0) {
@@ -82,14 +87,104 @@ DesModel::DesModel(const Parameters& params, std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
+// scheduler
+
+void DesModel::schedule_at(std::uint32_t slot, double t) {
+  // Same admission rules as sim::EventQueue: a NaN or infinite time would
+  // break the (time, seq) order, a past time would run the clock backwards.
+  if (!(t >= now_) || t == kNever) {
+    throw std::invalid_argument("DesModel: event time is non-finite or in the past");
+  }
+  const std::uint32_t bit = std::uint32_t{1} << slot;
+  if ((armed_ & bit) != 0) throw std::logic_error("DesModel: event slot armed twice");
+  armed_ |= bit;
+  slot_time_[slot] = t;
+  slot_seq_[slot] = next_seq_++;
+  if (++live_ > peak_live_) peak_live_ = live_;
+}
+
+bool DesModel::fire_next(double t_end) {
+  // Argmin of (time, seq) over the armed slots only: a handful at any
+  // instant, against a table sized for every event kind.
+  std::uint32_t mask = armed_;
+  if (mask == 0) return false;
+  std::uint32_t best = static_cast<std::uint32_t>(std::countr_zero(mask));
+  double bt = slot_time_[best];
+  std::uint64_t bs = slot_seq_[best];
+  for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
+    const auto s = static_cast<std::uint32_t>(std::countr_zero(mask));
+    const double t = slot_time_[s];
+    if (t < bt || (t == bt && slot_seq_[s] < bs)) {
+      best = s;
+      bt = t;
+      bs = slot_seq_[s];
+    }
+  }
+  if (bt > t_end) return false;
+  if (fire_budget_ != 0 && fired_ >= fire_budget_) throw sim::EventBudgetExceeded(fire_budget_);
+  armed_ &= ~(std::uint32_t{1} << best);
+  --live_;
+  ++fired_;
+  now_ = bt;
+  dispatch(best);
+  if (hook_every_ != 0 && fired_ % hook_every_ == 0) hook_fn_();
+  return true;
+}
+
+void DesModel::run_until(double t_end) {
+  if (!std::isfinite(t_end)) throw std::invalid_argument("DesModel: non-finite end time");
+  while (fire_next(t_end)) {
+  }
+  // Events scheduled exactly at t_end have fired; the clock lands on t_end.
+  if (now_ < t_end) now_ = t_end;
+}
+
+void DesModel::dispatch(std::uint32_t slot) {
+  switch (slot) {
+    case kSlotCkptInit: return on_ckpt_init();
+    case kSlotTimeout: return on_timeout();
+    case kSlotBcast: return on_bcast_received();
+    case kSlotCoord: return on_coordination_done();
+    case kSlotDump: return on_dump_done();
+    case kSlotFsWrite: return on_fs_write_done();
+    case kSlotAppWrite: return on_app_write_done();
+    case kSlotAppToggle: return on_app_toggle();
+    case kSlotStage1Done: return on_stage1_done();
+    case kSlotRecoveryDone: return on_recovery_done();
+    case kSlotReboot: return on_reboot_done();
+    case kSlotIoRestart: return on_io_restart_done();
+    case kSlotFailCompute: return on_compute_failure(true);
+    case kSlotFailIo: return on_io_failure();
+    case kSlotFailMaster: return on_master_failure();
+    case kSlotFailExtra: return on_compute_failure(false);
+    case kSlotWindowEnd: return on_prop_window_end();
+    case kSlotGenericToggle: return on_generic_toggle();
+    case kSlotJobDone:
+      job_completed_ = true;
+      return;
+    default: return fire_extension(slot);
+  }
+}
+
+void DesModel::fire_extension(std::uint32_t slot) {
+  throw std::logic_error("DesModel: no handler for event slot " + std::to_string(slot));
+}
+
+sim::QueueStats DesModel::queue_stats() const noexcept {
+  sim::QueueStats s;
+  s.scheduled = next_seq_;
+  s.fired = fired_;
+  s.cancelled = cancelled_;
+  s.peak_size = peak_live_;
+  return s;
+}
+
+// ---------------------------------------------------------------------------
 // plumbing
 
-void DesModel::reschedule(sim::EventHandle& h, sim::Rng& rng, double rate,
-                          void (DesModel::*handler)()) {
-  engine_.cancel(h);
-  if (rate > 0.0) {
-    h = engine_.schedule_in(rng.exponential_rate(rate), [this, handler] { (this->*handler)(); });
-  }
+void DesModel::reschedule(std::uint32_t slot, sim::Rng& rng, double rate) {
+  cancel(slot);
+  if (rate > 0.0) schedule_in(slot, rng.exponential_rate(rate));
 }
 
 bool DesModel::next_checkpoint_is_full() const noexcept {
@@ -117,7 +212,7 @@ double DesModel::sample_failure_interarrival() {
 }
 
 void DesModel::schedule_independent_failure() {
-  engine_.cancel(ev_fail_compute_);
+  cancel(kSlotFailCompute);
   if (!p_.compute_failures_enabled) return;
   double dt = 0.0;
   if (trace_ != nullptr) {
@@ -126,14 +221,13 @@ void DesModel::schedule_independent_failure() {
     // the past).  An exhausted trace injects nothing further.
     if (trace_next_ >= trace_->size()) return;
     const double t = trace_->events()[trace_next_++].time;
-    dt = t > engine_.now() ? t - engine_.now() : 0.0;
+    dt = t > now_ ? t - now_ : 0.0;
   } else {
     if (rates_.independent_rate <= 0.0) return;
     dt = sample_failure_interarrival();
   }
-  ev_fail_compute_ =
-      engine_.schedule_in(dt, [this] { on_compute_failure_independent_trampoline(); });
-  on_independent_failure_armed(engine_.now() + dt);
+  schedule_in(kSlotFailCompute, dt);
+  on_independent_failure_armed(now_ + dt);
 }
 
 bool DesModel::in_recovery() const noexcept {
@@ -163,7 +257,7 @@ std::size_t DesModel::state_category(ComputeState state) noexcept {
 }
 
 void DesModel::enter_state(ComputeState next) {
-  const double now = engine_.now();
+  const double now = now_;
   state_time_[state_category(compute_)].set_rate(now, 0.0);
   state_time_[state_category(next)].set_rate(now, 1.0);
   compute_ = next;
@@ -186,10 +280,10 @@ double DesModel::sample_coordination_time() {
 void DesModel::schedule_failure_processes() {
   schedule_independent_failure();
   if (p_.io_failures_enabled) {
-    reschedule(ev_fail_io_, rng_.fail_io, p_.io_failure_rate(), &DesModel::on_io_failure);
+    reschedule(kSlotFailIo, rng_.fail_io, p_.io_failure_rate());
   }
   if (p_.master_failures_enabled) {
-    reschedule(ev_fail_master_, rng_.fail_master, 1.0 / p_.mttf_node, &DesModel::on_master_failure);
+    reschedule(kSlotFailMaster, rng_.fail_master, 1.0 / p_.mttf_node);
   }
   update_extra_failure_process();
 }
@@ -209,8 +303,7 @@ void DesModel::start() {
   if (p_.generic_correlated_coefficient > 0.0 && !p_.generic_correlated_smooth) {
     const GenericPhases phases(p_.generic_correlated_coefficient, p_.correlated_window);
     generic_correlated_phase_ = false;
-    ev_generic_toggle_ = engine_.schedule_in(
-        rng_.correlated.exponential_mean(phases.normal_mean), [this] { on_generic_toggle(); });
+    schedule_in(kSlotGenericToggle, rng_.correlated.exponential_mean(phases.normal_mean));
   }
 }
 
@@ -227,7 +320,7 @@ ReplicationResult DesModel::continue_run(double transient, double horizon) {
   }
 
   if (!warmup_captured_) {
-    engine_.run_until(transient);
+    run_until(transient);
     useful_at_warmup_ = useful_.value(transient);
     exec_at_warmup_ = executing_.value(transient);
     for (std::size_t i = 0; i < kStateCategories; ++i) {
@@ -238,7 +331,7 @@ ReplicationResult DesModel::continue_run(double transient, double horizon) {
     on_warmup_captured();
   }
 
-  engine_.run_until(transient + horizon);
+  run_until(transient + horizon);
 
   ReplicationResult r;
   r.observed_span = horizon;
@@ -262,10 +355,9 @@ double DesModel::run_until_work(double useful_work, double max_time) {
   }
   job_target_ = useful_work;
   start();  // set_useful_rate(1.0) inside start() arms the completion event
-  while (!job_completed_ && engine_.queue().peek_time() <= max_time) {
-    engine_.queue().step();
+  while (!job_completed_ && fire_next(max_time)) {
   }
-  return job_completed_ ? engine_.now() : std::numeric_limits<double>::infinity();
+  return job_completed_ ? now_ : std::numeric_limits<double>::infinity();
 }
 
 void DesModel::charge_loss(double loss) {
@@ -276,31 +368,29 @@ void DesModel::charge_loss(double loss) {
 
 void DesModel::refresh_job_event() {
   if (job_target_ <= 0.0 || job_completed_) return;
-  engine_.cancel(ev_job_done_);
+  cancel(kSlotJobDone);
   const double rate = useful_.rate();
   if (rate <= 0.0) return;
-  const double remaining = job_target_ - useful_.value(engine_.now());
+  const double remaining = job_target_ - useful_.value(now_);
   // While the rate holds and nothing intervenes, the job finishes exactly
   // remaining / rate seconds from now (rate is 1 outside the malleable
   // policy, and x / 1.0 == x bit-exactly); any state change re-arms this.
-  ev_job_done_ = engine_.schedule_in(remaining > 0.0 ? remaining / rate : 0.0, [this] {
-    job_completed_ = true;
-  });
+  schedule_in(kSlotJobDone, remaining > 0.0 ? remaining / rate : 0.0);
 }
 
 // ---------------------------------------------------------------------------
 // checkpoint protocol
 
 void DesModel::schedule_next_init() {
-  engine_.cancel(ev_ckpt_init_);
-  ev_ckpt_init_ = engine_.schedule_in(p_.checkpoint_interval, [this] { on_ckpt_init(); });
+  cancel(kSlotCkptInit);
+  schedule_in(kSlotCkptInit, p_.checkpoint_interval);
 }
 
 void DesModel::reset_app() {
-  engine_.cancel(ev_app_toggle_);
+  cancel(kSlotAppToggle);
   app_phase_ = AppPhase::kCompute;
   if (p_.app_io_enabled && workload_.io_phase > 0.0) {
-    ev_app_toggle_ = engine_.schedule_in(workload_.compute_phase, [this] { on_app_toggle(); });
+    schedule_in(kSlotAppToggle, workload_.compute_phase);
   }
 }
 
@@ -312,10 +402,9 @@ void DesModel::on_ckpt_init() {
   ++counters_.ckpt_initiated;
   note(trace::EventKind::kCkptInitiated);
   if (p_.timeout > 0.0) {
-    ev_timeout_ = engine_.schedule_in(p_.timeout, [this] { on_timeout(); });
+    schedule_in(kSlotTimeout, p_.timeout);
   }
-  ev_bcast_ =
-      engine_.schedule_in(p_.quiesce_broadcast_latency(), [this] { on_bcast_received(); });
+  schedule_in(kSlotBcast, p_.quiesce_broadcast_latency());
 }
 
 void DesModel::on_bcast_received() {
@@ -335,15 +424,14 @@ void DesModel::begin_quiesce() {
   note(trace::EventKind::kQuiesceStarted);
   enter_state(ComputeState::kQuiescing);
   set_useful_rate(0.0);
-  executing_.set_rate(engine_.now(), 0.0);
-  engine_.cancel(ev_app_toggle_);  // application frozen until resume
-  ev_coord_ =
-      engine_.schedule_in(sample_coordination_time(), [this] { on_coordination_done(); });
+  executing_.set_rate(now_, 0.0);
+  cancel(kSlotAppToggle);  // application frozen until resume
+  schedule_in(kSlotCoord, sample_coordination_time());
 }
 
 void DesModel::on_coordination_done() {
   note(trace::EventKind::kCoordinationDone);
-  engine_.cancel(ev_timeout_);  // all 'ready' replies collected
+  cancel(kSlotTimeout);  // all 'ready' replies collected
   want_dump_ = true;
   enter_state(ComputeState::kWaitIoForDump);
   try_start_io_work();
@@ -362,8 +450,7 @@ void DesModel::start_dump() {
   // (file-system) checkpoint remains valid throughout.
   buffered_valid_ = false;
   current_dump_is_full_ = next_checkpoint_is_full();
-  ev_dump_ = engine_.schedule_in(io_timing_.dump * current_dump_scale(),
-                                 [this] { on_dump_done(); });
+  schedule_in(kSlotDump, io_timing_.dump * current_dump_scale());
 }
 
 void DesModel::on_dump_done() {
@@ -375,10 +462,9 @@ void DesModel::on_dump_done() {
   }
   note(trace::EventKind::kDumpDone);
   buffered_valid_ = true;
-  work_at_buffered_ = useful_.value(engine_.now());
+  work_at_buffered_ = useful_.value(now_);
   io_ = IoState::kWritingCkpt;
-  ev_fs_write_ = engine_.schedule_in(io_timing_.fs_write * current_dump_scale(),
-                                     [this] { on_fs_write_done(); });
+  schedule_in(kSlotFsWrite, io_timing_.fs_write * current_dump_scale());
   if (p_.background_fs_write) {
     finish_cycle_success();
   } else {
@@ -410,17 +496,17 @@ void DesModel::finish_cycle_success() {
 void DesModel::resume_execution() {
   enter_state(ComputeState::kExecuting);
   set_useful_rate(1.0);
-  executing_.set_rate(engine_.now(), 1.0);
+  executing_.set_rate(now_, 1.0);
   reset_app();
   schedule_next_init();
 }
 
 void DesModel::cancel_protocol_events() {
-  engine_.cancel(ev_ckpt_init_);  // the interval timer restarts at resume
-  engine_.cancel(ev_timeout_);
-  engine_.cancel(ev_bcast_);
-  engine_.cancel(ev_coord_);
-  engine_.cancel(ev_dump_);
+  cancel(kSlotCkptInit);  // the interval timer restarts at resume
+  cancel(kSlotTimeout);
+  cancel(kSlotBcast);
+  cancel(kSlotCoord);
+  cancel(kSlotDump);
   quiesce_requested_ = false;
   want_dump_ = false;
 }
@@ -462,7 +548,7 @@ void DesModel::on_app_toggle() {
   if (app_phase_ == AppPhase::kCompute) {
     app_phase_ = AppPhase::kIo;
     note(trace::EventKind::kAppPhaseIo);
-    ev_app_toggle_ = engine_.schedule_in(workload_.io_phase, [this] { on_app_toggle(); });
+    schedule_in(kSlotAppToggle, workload_.io_phase);
   } else {
     // I/O burst finished: the data sits in the I/O-node buffers and is
     // written to the file system in the background.
@@ -476,16 +562,13 @@ void DesModel::on_app_toggle() {
       quiesce_requested_ = false;
       begin_quiesce();
     } else {
-      ev_app_toggle_ = engine_.schedule_in(workload_.compute_phase, [this] { on_app_toggle(); });
+      schedule_in(kSlotAppToggle, workload_.compute_phase);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // failures and recovery
-
-void DesModel::on_compute_failure_independent_trampoline() { on_compute_failure(true); }
-void DesModel::on_compute_failure_extra_trampoline() { on_compute_failure(false); }
 
 void DesModel::on_compute_failure(bool independent) {
   // Re-arm the Poisson process first (the extra process re-arms at the
@@ -531,14 +614,14 @@ void DesModel::on_compute_failure(bool independent) {
   cancel_protocol_events();
   if (io_ == IoState::kReceivingDump) io_ = IoState::kIdle;
   master_ = MasterState::kSleep;
-  engine_.cancel(ev_app_toggle_);
+  cancel(kSlotAppToggle);
 
   const double target = rollback_target();
-  const double loss = useful_.value(engine_.now()) - target;
+  const double loss = useful_.value(now_) - target;
   assert(loss >= -1e-9);
   charge_loss(loss);
   set_useful_rate(0.0);
-  executing_.set_rate(engine_.now(), 0.0);
+  executing_.set_rate(now_, 0.0);
   recovery_target_work_ = target;
   failed_recoveries_ = 0;
   ++counters_.recoveries_started;
@@ -548,7 +631,7 @@ void DesModel::on_compute_failure(bool independent) {
 void DesModel::record_unsuccessful_recovery() {
   ++counters_.recovery_restarts;
   ++failed_recoveries_;
-  engine_.cancel(ev_recovery_);
+  cancel_recovery();
   if (io_ == IoState::kReadingCkpt) io_ = IoState::kIdle;  // stage-1 read aborted
   recovery_wait_io_ = false;
   if (failed_recoveries_ > p_.recovery_failure_threshold) {
@@ -563,22 +646,21 @@ void DesModel::start_recovery() {
     // Checkpoint already in the I/O-node memories: skip stage 1.
     note(trace::EventKind::kRecoveryStage2);
     enter_state(ComputeState::kRecoveryStage2);
-    ev_recovery_ = engine_.schedule_in(rng_.recovery.exponential_mean(p_.mttr_compute),
-                                       [this] { on_recovery_done(); });
+    schedule_in(kSlotRecoveryDone, rng_.recovery.exponential_mean(p_.mttr_compute));
     return;
   }
   note(trace::EventKind::kRecoveryStage1);
   enter_state(ComputeState::kRecoveryStage1);
   if (io_ == IoState::kIdle) {
     io_ = IoState::kReadingCkpt;
-    ev_recovery_ = engine_.schedule_in(stage1_read_time(), [this] { on_stage1_done(); });
+    schedule_in(kSlotStage1Done, stage1_read_time());
   } else {
     recovery_wait_io_ = true;  // try_start_io_work() will begin the read
   }
 }
 
 void DesModel::restart_recovery() {
-  engine_.cancel(ev_recovery_);
+  cancel_recovery();
   if (io_ == IoState::kReadingCkpt) io_ = IoState::kIdle;
   recovery_wait_io_ = false;
   start_recovery();
@@ -592,8 +674,7 @@ void DesModel::on_stage1_done() {
   buffered_valid_ = true;
   work_at_buffered_ = work_at_committed_;
   enter_state(ComputeState::kRecoveryStage2);
-  ev_recovery_ = engine_.schedule_in(rng_.recovery.exponential_mean(p_.mttr_compute),
-                                     [this] { on_recovery_done(); });
+  schedule_in(kSlotRecoveryDone, rng_.recovery.exponential_mean(p_.mttr_compute));
   try_start_io_work();
 }
 
@@ -603,7 +684,7 @@ void DesModel::on_recovery_done() {
   failed_recoveries_ = 0;
   if (prop_window_active_) {
     // A successful recovery wipes latent errors and closes the window.
-    engine_.cancel(ev_window_end_);
+    cancel(kSlotWindowEnd);
     prop_window_active_ = false;
     note(trace::EventKind::kWindowClosed);
     update_extra_failure_process();
@@ -614,16 +695,16 @@ void DesModel::on_recovery_done() {
 void DesModel::start_reboot() {
   ++counters_.reboots;
   note(trace::EventKind::kRebootStarted);
-  engine_.cancel(ev_recovery_);
-  engine_.cancel(ev_fs_write_);
-  engine_.cancel(ev_app_write_);
-  engine_.cancel(ev_io_restart_);
+  cancel_recovery();
+  cancel(kSlotFsWrite);
+  cancel(kSlotAppWrite);
+  cancel(kSlotIoRestart);
   recovery_wait_io_ = false;
   pending_app_writes_ = 0;
   invalidate_buffer();
   enter_state(ComputeState::kRebooting);
   io_ = IoState::kRebooting;
-  ev_reboot_ = engine_.schedule_in(p_.reboot_time, [this] { on_reboot_done(); });
+  schedule_in(kSlotReboot, p_.reboot_time);
 }
 
 void DesModel::on_reboot_done() {
@@ -645,7 +726,7 @@ void DesModel::invalidate_buffer() {
 }
 
 void DesModel::on_io_failure() {
-  reschedule(ev_fail_io_, rng_.fail_io, p_.io_failure_rate(), &DesModel::on_io_failure);
+  reschedule(kSlotFailIo, rng_.fail_io, p_.io_failure_rate());
   if (compute_ == ComputeState::kRebooting || io_ == IoState::kRebooting) return;
   if (io_ == IoState::kRestarting) return;  // already restarting all I/O nodes
   ++counters_.io_failures;
@@ -655,8 +736,8 @@ void DesModel::on_io_failure() {
   // Whatever the I/O nodes were doing is lost; all of them restart.  The
   // restarting state is entered *before* the side effects so that recovery
   // and dump logic observes the I/O nodes as busy.
-  engine_.cancel(ev_fs_write_);
-  engine_.cancel(ev_app_write_);
+  cancel(kSlotFsWrite);
+  cancel(kSlotAppWrite);
   pending_app_writes_ = 0;  // buffered application data is gone
   io_ = IoState::kRestarting;
   invalidate_buffer();
@@ -686,12 +767,12 @@ void DesModel::on_io_failure() {
           enter_state(ComputeState::kExecuting);
         }
         master_ = MasterState::kSleep;
-        engine_.cancel(ev_app_toggle_);
+        cancel(kSlotAppToggle);
         const double target = rollback_target();
-        const double loss = useful_.value(engine_.now()) - target;
+        const double loss = useful_.value(now_) - target;
         charge_loss(loss);
         set_useful_rate(0.0);
-        executing_.set_rate(engine_.now(), 0.0);
+        executing_.set_rate(now_, 0.0);
         recovery_target_work_ = target;
         failed_recoveries_ = 0;
         ++counters_.recoveries_started;
@@ -713,8 +794,7 @@ void DesModel::on_io_failure() {
   // I/O buffers: it must restart from stage 1.
   if (compute_ == ComputeState::kRecoveryStage2) record_unsuccessful_recovery();
   if (compute_ == ComputeState::kRebooting) return;  // a reboot was triggered
-  ev_io_restart_ = engine_.schedule_in(rng_.io_restart.exponential_mean(p_.mttr_io),
-                                       [this] { on_io_restart_done(); });
+  schedule_in(kSlotIoRestart, rng_.io_restart.exponential_mean(p_.mttr_io));
 }
 
 void DesModel::on_io_restart_done() {
@@ -723,7 +803,7 @@ void DesModel::on_io_restart_done() {
 }
 
 void DesModel::on_master_failure() {
-  reschedule(ev_fail_master_, rng_.fail_master, 1.0 / p_.mttf_node, &DesModel::on_master_failure);
+  reschedule(kSlotFailMaster, rng_.fail_master, 1.0 / p_.mttf_node);
   // Outside checkpointing the master detects the error and recovers on its
   // own without disturbing the system (paper Sec. 3.4).
   if (master_ != MasterState::kCheckpointing) return;
@@ -744,7 +824,7 @@ void DesModel::try_start_io_work() {
   if (recovery_wait_io_) {
     recovery_wait_io_ = false;
     io_ = IoState::kReadingCkpt;
-    ev_recovery_ = engine_.schedule_in(stage1_read_time(), [this] { on_stage1_done(); });
+    schedule_in(kSlotStage1Done, stage1_read_time());
     return;
   }
   if (want_dump_ && compute_ == ComputeState::kWaitIoForDump) {
@@ -754,7 +834,7 @@ void DesModel::try_start_io_work() {
   if (pending_app_writes_ > 0) {
     --pending_app_writes_;
     io_ = IoState::kWritingAppData;
-    ev_app_write_ = engine_.schedule_in(io_timing_.app_write, [this] { on_app_write_done(); });
+    schedule_in(kSlotAppWrite, io_timing_.app_write);
   }
 }
 
@@ -772,8 +852,7 @@ void DesModel::maybe_open_prop_window() {
   ++counters_.prop_windows;
   note(trace::EventKind::kWindowOpened);
   prop_window_active_ = true;
-  ev_window_end_ =
-      engine_.schedule_in(p_.correlated_window, [this] { on_prop_window_end(); });
+  schedule_in(kSlotWindowEnd, p_.correlated_window);
   update_extra_failure_process();
 }
 
@@ -788,8 +867,7 @@ void DesModel::on_generic_toggle() {
   generic_correlated_phase_ = !generic_correlated_phase_;
   const double mean =
       generic_correlated_phase_ ? phases.correlated_mean : phases.normal_mean;
-  ev_generic_toggle_ =
-      engine_.schedule_in(rng_.correlated.exponential_mean(mean), [this] { on_generic_toggle(); });
+  schedule_in(kSlotGenericToggle, rng_.correlated.exponential_mean(mean));
   update_extra_failure_process();
 }
 
@@ -809,8 +887,7 @@ void DesModel::update_extra_failure_process() {
       }
     }
   }
-  reschedule(ev_fail_extra_, rng_.fail_extra, rate,
-             &DesModel::on_compute_failure_extra_trampoline);
+  reschedule(kSlotFailExtra, rng_.fail_extra, rate);
 }
 
 // ---------------------------------------------------------------------------
@@ -859,27 +936,19 @@ void DesModel::save_state(snapshot::StateWriter& w) const {
   // therefore every existing snapshot) is unchanged otherwise.  The run
   // context embeds the trace path, so a restore never mixes layouts.
   if (trace_ != nullptr) w.u64(trace_next_);
-  // Handle ids, then the queue itself: restore reads the ids first so
-  // rebuild_event() can map each live entry back to its handler.
-  w.u64(ev_ckpt_init_.id);
-  w.u64(ev_timeout_.id);
-  w.u64(ev_bcast_.id);
-  w.u64(ev_coord_.id);
-  w.u64(ev_dump_.id);
-  w.u64(ev_fs_write_.id);
-  w.u64(ev_app_write_.id);
-  w.u64(ev_app_toggle_.id);
-  w.u64(ev_recovery_.id);
-  w.u64(ev_reboot_.id);
-  w.u64(ev_io_restart_.id);
-  w.u64(ev_fail_compute_.id);
-  w.u64(ev_fail_io_.id);
-  w.u64(ev_fail_master_.id);
-  w.u64(ev_fail_extra_.id);
-  w.u64(ev_window_end_.id);
-  w.u64(ev_generic_toggle_.id);
-  w.u64(ev_job_done_.id);
-  engine_.queue().save_state(w);
+  // The scheduler: clock, counters, then the slot table in slot order.
+  // Empty slots carry sequence 0, so the layout is canonical.
+  w.f64(now_);
+  w.u64(next_seq_);
+  w.u64(fired_);
+  w.u64(cancelled_);
+  w.u64(peak_live_);
+  w.u32(num_slots_);
+  for (std::uint32_t s = 0; s < num_slots_; ++s) {
+    const bool armed = (armed_ >> s & 1u) != 0;
+    w.f64(armed ? slot_time_[s] : kNever);
+    w.u64(armed ? slot_seq_[s] : 0);
+  }
 }
 
 void DesModel::restore_state(snapshot::StateReader& r) {
@@ -947,56 +1016,53 @@ void DesModel::restore_state(snapshot::StateReader& r) {
       throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: trace cursor out of range");
     }
   }
-  ev_ckpt_init_.id = r.u64();
-  ev_timeout_.id = r.u64();
-  ev_bcast_.id = r.u64();
-  ev_coord_.id = r.u64();
-  ev_dump_.id = r.u64();
-  ev_fs_write_.id = r.u64();
-  ev_app_write_.id = r.u64();
-  ev_app_toggle_.id = r.u64();
-  ev_recovery_.id = r.u64();
-  ev_reboot_.id = r.u64();
-  ev_io_restart_.id = r.u64();
-  ev_fail_compute_.id = r.u64();
-  ev_fail_io_.id = r.u64();
-  ev_fail_master_.id = r.u64();
-  ev_fail_extra_.id = r.u64();
-  ev_window_end_.id = r.u64();
-  ev_generic_toggle_.id = r.u64();
-  ev_job_done_.id = r.u64();
-  engine_.queue().restore_state(r, [this](std::uint64_t id) { return rebuild_event(id); });
-  started_ = true;
-}
-
-sim::EventQueue::Callback DesModel::rebuild_event(std::uint64_t id) {
-  // A stale (already-fired) handle can never equal a live id — liveness is
-  // generation-checked — so matching the saved ids is unambiguous.
-  if (id == ev_ckpt_init_.id) return [this] { on_ckpt_init(); };
-  if (id == ev_timeout_.id) return [this] { on_timeout(); };
-  if (id == ev_bcast_.id) return [this] { on_bcast_received(); };
-  if (id == ev_coord_.id) return [this] { on_coordination_done(); };
-  if (id == ev_dump_.id) return [this] { on_dump_done(); };
-  if (id == ev_fs_write_.id) return [this] { on_fs_write_done(); };
-  if (id == ev_app_write_.id) return [this] { on_app_write_done(); };
-  if (id == ev_app_toggle_.id) return [this] { on_app_toggle(); };
-  if (id == ev_recovery_.id) {
-    // One handle, two meanings: the stage-1 FS read or the stage-2
-    // compute-node recovery.  The compute state disambiguates (the handle
-    // is only ever live inside one of the two stages).
-    if (compute_ == ComputeState::kRecoveryStage1) return [this] { on_stage1_done(); };
-    return [this] { on_recovery_done(); };
+  // Validate the whole slot table before the scheduler mutates.
+  const double now = r.f64();
+  if (!std::isfinite(now) || now < 0.0) {
+    throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: bad clock");
   }
-  if (id == ev_reboot_.id) return [this] { on_reboot_done(); };
-  if (id == ev_io_restart_.id) return [this] { on_io_restart_done(); };
-  if (id == ev_fail_compute_.id) return [this] { on_compute_failure_independent_trampoline(); };
-  if (id == ev_fail_io_.id) return [this] { on_io_failure(); };
-  if (id == ev_fail_master_.id) return [this] { on_master_failure(); };
-  if (id == ev_fail_extra_.id) return [this] { on_compute_failure_extra_trampoline(); };
-  if (id == ev_window_end_.id) return [this] { on_prop_window_end(); };
-  if (id == ev_generic_toggle_.id) return [this] { on_generic_toggle(); };
-  if (id == ev_job_done_.id) return [this] { job_completed_ = true; };
-  return {};
+  const std::uint64_t next_seq = r.u64();
+  const std::uint64_t fired = r.u64();
+  const std::uint64_t cancelled = r.u64();
+  const std::uint64_t peak_live = r.u64();
+  if (r.u32() != num_slots_) {
+    throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: slot count mismatch");
+  }
+  std::array<double, kMaxSlots> times{};
+  std::array<std::uint64_t, kMaxSlots> seqs{};
+  std::uint32_t armed = 0;
+  std::size_t live = 0;
+  for (std::uint32_t s = 0; s < num_slots_; ++s) {
+    times[s] = r.f64();
+    seqs[s] = r.u64();
+    if (times[s] == kNever) {
+      if (seqs[s] != 0) throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: bad slot");
+      continue;
+    }
+    if (!(times[s] >= now) || !std::isfinite(times[s]) || seqs[s] >= next_seq) {
+      throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: inconsistent slot");
+    }
+    for (std::uint32_t o = 0; o < s; ++o) {
+      if ((armed >> o & 1u) != 0 && seqs[o] == seqs[s]) {
+        throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: duplicate slot sequence");
+      }
+    }
+    armed |= std::uint32_t{1} << s;
+    ++live;
+  }
+  if (live > peak_live || peak_live > next_seq) {
+    throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: inconsistent counters");
+  }
+  now_ = now;
+  next_seq_ = next_seq;
+  fired_ = fired;
+  cancelled_ = cancelled;
+  peak_live_ = static_cast<std::size_t>(peak_live);
+  live_ = live;
+  armed_ = armed;
+  slot_time_ = times;
+  slot_seq_ = seqs;
+  started_ = true;
 }
 
 }  // namespace ckptsim

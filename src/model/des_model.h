@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "src/core/results.h"
@@ -12,6 +14,8 @@
 #include "src/model/workload.h"
 #include "src/sim/distributions.h"
 #include "src/sim/engine.h"
+#include "src/sim/event_queue.h"
+#include "src/sim/rng.h"
 #include "src/trace/event_log.h"
 
 namespace ckptsim::snapshot {
@@ -43,14 +47,22 @@ namespace ckptsim {
 /// Useful-work accounting: rate 1 accrues while the compute nodes execute
 /// (computation or application I/O); a rollback charges a negative impulse
 /// equal to the work accrued since the rollback target's quiesce point.
+///
+/// Scheduler: the model never has more than one pending event per kind, so
+/// the pending set is a fixed table of slots, one (time, insertion
+/// sequence) pair per event kind, plus a bitmask of the armed slots,
+/// instead of a general event queue.  The next event is the argmin over the
+/// armed slots — ties in time fire in insertion order, exactly as
+/// sim::EventQueue breaks them — and dispatch is a switch on the slot.
+/// Subclasses append their own slots after kNumBaseSlots and handle them in
+/// fire_extension().  Scheduling, cancelling and firing touch only the
+/// fixed table: the run loop never allocates.
 class DesModel {
  public:
   /// `params` is validated on construction; `seed` drives all stochastic
-  /// processes of this replication.  `scheduler` selects the event-queue
-  /// backend (binary heap / calendar queue) — results are bit-identical
-  /// either way.
-  DesModel(const Parameters& params, std::uint64_t seed,
-           sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  /// processes of this replication.
+  DesModel(const Parameters& params, std::uint64_t seed)
+      : DesModel(params, seed, kNumBaseSlots) {}
   virtual ~DesModel() = default;
   DesModel(const DesModel&) = delete;
   DesModel& operator=(const DesModel&) = delete;
@@ -67,24 +79,26 @@ class DesModel {
   /// fell on.
   ReplicationResult continue_run(double transient, double horizon);
 
-  /// Install the event-queue post-fire hook (the snapshot layer's periodic
-  /// capture point; same boundary as the fire-budget watchdog).  Set before
-  /// the run starts.
+  /// Install the post-fire hook (the snapshot layer's periodic capture
+  /// point): invoked right after an event's handler returns — the model has
+  /// fully processed the event — whenever the lifetime fired count is a
+  /// multiple of `every` (0 disables).  Same boundary as the fire-budget
+  /// watchdog.  Set before the run starts.
   void set_fire_hook(std::uint64_t every, std::function<void()> hook) {
-    engine_.queue().set_fire_hook(every, std::move(hook));
+    hook_every_ = every;
+    hook_fn_ = std::move(hook);
   }
 
   /// Serialize the full mid-replication state: all eight RNG streams, the
   /// protocol/application/I-O/master state machines, checkpoint and
   /// correlation bookkeeping, reward integrals, counters, warm-up
-  /// baselines, event-handle ids, and the event queue.  Requires a started
-  /// model (throws std::logic_error otherwise).
+  /// baselines, and the scheduler (clock, counters, slot table).  Requires
+  /// a started model (throws std::logic_error otherwise).
   void save_state(snapshot::StateWriter& w) const;
 
   /// Restore onto a freshly constructed model built from the *same*
-  /// parameters and scheduler (the constructor seed is irrelevant — stream
-  /// positions are restored).  Queue callbacks are rebuilt from the saved
-  /// handle ids; any inconsistency throws snapshot::SnapshotError and the
+  /// parameters (the constructor seed is irrelevant — stream positions are
+  /// restored).  Any inconsistency throws snapshot::SnapshotError and the
   /// caller must discard the object.  Attach event log / counts before
   /// calling if the continued run should trace.
   void restore_state(snapshot::StateReader& r);
@@ -111,17 +125,74 @@ class DesModel {
   /// per replication.  Must be set before the run starts.
   void set_event_counts(trace::EventCounts* counts) noexcept { event_counts_ = counts; }
 
-  /// Event-queue statistics of this replication (obs metrics registry).
-  [[nodiscard]] sim::QueueStats queue_stats() const noexcept { return engine_.queue().stats(); }
+  /// Scheduler statistics of this replication (obs metrics registry):
+  /// scheduled/fired/cancelled and the live-event peak count what an
+  /// EventQueue would; compactions and peak_dead are always 0 (the slot
+  /// table has no tombstones).
+  [[nodiscard]] sim::QueueStats queue_stats() const noexcept;
 
   /// Watchdog: cap this replication at `max_events` fired events (0 =
   /// unlimited); the run throws sim::EventBudgetExceeded past the cap.
   /// Must be set before the run starts.
-  void set_event_budget(std::uint64_t max_events) noexcept {
-    engine_.queue().set_fire_budget(max_events);
-  }
+  void set_event_budget(std::uint64_t max_events) noexcept { fire_budget_ = max_events; }
 
  protected:
+  /// Event slots of the base model, one per event kind.  The stage-1 read
+  /// and the stage-2 recovery share a recovery timer but get a slot each
+  /// (at most one is ever armed; cancel_recovery() clears both).
+  enum Slot : std::uint32_t {
+    kSlotCkptInit = 0,
+    kSlotTimeout,
+    kSlotBcast,
+    kSlotCoord,
+    kSlotDump,
+    kSlotFsWrite,
+    kSlotAppWrite,
+    kSlotAppToggle,
+    kSlotStage1Done,
+    kSlotRecoveryDone,
+    kSlotReboot,
+    kSlotIoRestart,
+    kSlotFailCompute,
+    kSlotFailIo,
+    kSlotFailMaster,
+    kSlotFailExtra,
+    kSlotWindowEnd,
+    kSlotGenericToggle,
+    kSlotJobDone,
+    kNumBaseSlots,
+  };
+  /// Slot-table capacity (the width of the armed-slot mask): base slots
+  /// plus room for a subclass's own.
+  static constexpr std::uint32_t kMaxSlots = 32;
+
+  /// Subclass constructor: `num_slots` (kNumBaseSlots plus the subclass's
+  /// own, at most kMaxSlots) sizes the slot table.
+  DesModel(const Parameters& params, std::uint64_t seed, std::uint32_t num_slots);
+
+  // --- scheduler ---
+  [[nodiscard]] double now() const noexcept { return now_; }
+  /// Arm `slot` at absolute time `t` (finite, >= now()).  Arming a slot
+  /// that is still pending is a logic error.
+  void schedule_at(std::uint32_t slot, double t);
+  void schedule_in(std::uint32_t slot, double dt) { schedule_at(slot, now_ + dt); }
+  /// Disarm `slot`; a no-op when it is not pending.
+  void cancel(std::uint32_t slot) noexcept {
+    const std::uint32_t bit = std::uint32_t{1} << slot;
+    if ((armed_ & bit) != 0) {
+      armed_ &= ~bit;
+      ++cancelled_;
+      --live_;
+    }
+  }
+  void cancel_recovery() noexcept {
+    cancel(kSlotStage1Done);
+    cancel(kSlotRecoveryDone);
+  }
+  /// Handle a fired subclass slot (>= kNumBaseSlots).  The base model has
+  /// none and throws std::logic_error.
+  virtual void fire_extension(std::uint32_t slot);
+
   // The engine is designed for extension: src/nodelevel builds the
   // disaggregated per-node variant on these hooks.
   enum class ComputeState {
@@ -169,8 +240,6 @@ class DesModel {
   void on_app_toggle();
 
   // --- failures & recovery ---
-  void on_compute_failure_independent_trampoline();
-  void on_compute_failure_extra_trampoline();
   void on_compute_failure(bool independent);
   void on_io_failure();
   void on_master_failure();
@@ -225,7 +294,8 @@ class DesModel {
   // --- plumbing ---
   void start();
   void schedule_failure_processes();
-  void reschedule(sim::EventHandle& h, sim::Rng& rng, double rate, void (DesModel::*handler)());
+  /// Re-arm `slot` at an exponential delay of `rate` (disarmed when 0).
+  void reschedule(std::uint32_t slot, sim::Rng& rng, double rate);
   /// Arm the next independent compute failure (exponential or Weibull
   /// renewal inter-arrival, per Parameters::failure_distribution).
   void schedule_independent_failure();
@@ -244,7 +314,7 @@ class DesModel {
   void set_useful_rate(double rate) {
     // useful_scale_ is 1.0 outside the malleable proactive policy, and
     // rate * 1.0 == rate bit-exactly, so the base model is unaffected.
-    useful_.set_rate(engine_.now(), rate * useful_scale_);
+    useful_.set_rate(now_, rate * useful_scale_);
     refresh_job_event();
   }
   /// Charge `loss` seconds of rolled-back work against the useful integral.
@@ -258,21 +328,18 @@ class DesModel {
   [[nodiscard]] double stage1_read_time() const noexcept;
   /// Keep the job-completion event aligned with the useful-work integral.
   void refresh_job_event();
-  /// Map a live event id back to its handler during restore_state; the
-  /// saved handle ids identify which member event the id belongs to.
-  /// Returns an empty callback for unknown ids (the queue then rejects the
-  /// restore as corrupt).
-  [[nodiscard]] sim::EventQueue::Callback rebuild_event(std::uint64_t id);
   void note(trace::EventKind kind, double value = 0.0) {
-    if (log_ != nullptr) log_->record(engine_.now(), kind, value);
+    if (log_ != nullptr) log_->record(now_, kind, value);
     if (event_counts_ != nullptr) event_counts_->bump(kind);
   }
+
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
 
   Parameters p_;
   IoTiming io_timing_;
   WorkloadProfile workload_;
   CorrelatedRates rates_;
-  sim::Engine engine_;
+  sim::RngPool pool_;
   // One RNG substream per stochastic process: keeps replications
   // reproducible and supports common-random-number comparisons.
   struct Streams {
@@ -317,13 +384,6 @@ class DesModel {
   bool prop_window_active_ = false;
   bool generic_correlated_phase_ = false;
 
-  // events
-  sim::EventHandle ev_ckpt_init_, ev_timeout_, ev_bcast_, ev_coord_, ev_dump_;
-  sim::EventHandle ev_fs_write_, ev_app_write_, ev_app_toggle_;
-  sim::EventHandle ev_recovery_, ev_reboot_, ev_io_restart_;
-  sim::EventHandle ev_fail_compute_, ev_fail_io_, ev_fail_master_, ev_fail_extra_;
-  sim::EventHandle ev_window_end_, ev_generic_toggle_;
-
   sim::RateIntegral useful_;
   sim::RateIntegral executing_;  // gross execution time (no loss charges)
   sim::RateIntegral state_time_[kStateCategories];  // StateBreakdown integrals
@@ -341,8 +401,31 @@ class DesModel {
   // job-completion mode
   double job_target_ = 0.0;  // 0 = not in job mode
   bool job_completed_ = false;
-  sim::EventHandle ev_job_done_;
   bool started_ = false;
+
+ private:
+  /// Fire the earliest pending event if its time is <= t_end; false (and
+  /// nothing fired) otherwise.
+  bool fire_next(double t_end);
+  /// Fire events up to and including `t_end`, then land the clock on it.
+  void run_until(double t_end);
+  void dispatch(std::uint32_t slot);
+
+  // scheduler: one (time, seq) pair per slot, meaningful while its bit in
+  // armed_ is set
+  std::uint32_t num_slots_;
+  std::uint32_t armed_ = 0;
+  std::array<double, kMaxSlots> slot_time_{};
+  std::array<std::uint64_t, kMaxSlots> slot_seq_{};
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::size_t live_ = 0;
+  std::size_t peak_live_ = 0;
+  std::uint64_t fire_budget_ = 0;  // 0 = unlimited
+  std::uint64_t hook_every_ = 0;   // 0 = no post-fire hook
+  std::function<void()> hook_fn_;
 };
 
 }  // namespace ckptsim

@@ -948,10 +948,9 @@ ReplicationResult SanCheckpointModel::run_replication(std::uint64_t seed, double
                                                       double horizon,
                                                       obs::ReplicationProbe* probe,
                                                       std::uint64_t max_events,
-                                                      sim::SchedulerKind scheduler,
                                                       const SnapshotSpec* snapshot) const {
   if (!(horizon > 0.0)) throw std::invalid_argument("SanCheckpointModel: horizon must be > 0");
-  san::Executor exec(model_, seed, scheduler);
+  san::Executor exec(model_, seed);
   // Rewards must be registered before a restore so the restored
   // accumulator count has something to be validated against.
   for (const auto& r : rate_rewards()) exec.rewards().add_rate(r);

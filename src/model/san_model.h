@@ -71,7 +71,6 @@ class SanCheckpointModel {
   [[nodiscard]] ReplicationResult run_replication(
       std::uint64_t seed, double transient, double horizon,
       obs::ReplicationProbe* probe = nullptr, std::uint64_t max_events = 0,
-      sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap,
       const SnapshotSpec* snapshot = nullptr) const;
 
   /// Table 1 inventory of this build.

@@ -80,8 +80,16 @@ class NodeLevelModel final : public DesModel {
  protected:
   double sample_coordination_time() override;
   void on_independent_failure() override;
+  void fire_extension(std::uint32_t slot) override;
 
  private:
+  /// Spatial-burst event slots, after the base model's.
+  enum NodeSlot : std::uint32_t {
+    kSlotSpatialEnd = kNumBaseSlots,
+    kSlotSpatialFail,
+    kNumNodeSlots,
+  };
+
   [[nodiscard]] std::uint64_t group_of(std::uint64_t node) const noexcept;
   void record_victim(std::uint64_t node, bool spatial);
   void open_spatial_window(std::uint64_t group);
@@ -101,7 +109,6 @@ class NodeLevelModel final : public DesModel {
   bool spatial_window_active_ = false;
   std::uint64_t spatial_group_ = 0;
   std::uint64_t spatial_windows_ = 0;
-  sim::EventHandle ev_spatial_end_, ev_spatial_fail_;
 
   // clustering statistic
   std::uint64_t last_failure_group_ = UINT64_MAX;

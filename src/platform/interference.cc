@@ -17,9 +17,8 @@ namespace ckptsim::platform {
 
 using trace::EventKind;
 
-InterferenceModel::InterferenceModel(const JobMix& mix, std::uint64_t seed,
-                                     sim::SchedulerKind scheduler)
-    : mix_(mix), engine_(seed, scheduler) {
+InterferenceModel::InterferenceModel(const JobMix& mix, std::uint64_t seed)
+    : mix_(mix), engine_(seed) {
   mix_.validate();
   pfs_ = std::make_unique<PfsServer>(engine_, mix_.resolved_bandwidth(), mix_.pfs.policy);
   const std::size_t k = mix_.jobs.size();
@@ -327,7 +326,7 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
   parallel_for_workers(jobs, spec.replications, [&](std::size_t worker, std::size_t r) {
     if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) return;
     const obs::WorkerTimer timer(spec.metrics, worker);
-    InterferenceModel model(mix, sim::replication_seed(spec.seed, r), spec.scheduler);
+    InterferenceModel model(mix, sim::replication_seed(spec.seed, r));
     obs::ReplicationProbe probe;
     if (spec.metrics != nullptr) model.set_event_counts(&probe.events);
     model.set_event_budget(spec.watchdog.max_events);

@@ -52,8 +52,7 @@ class InterferenceModel {
  public:
   /// `mix` is validated on construction; `seed` drives every stream of
   /// this replication (derive via sim::replication_seed).
-  InterferenceModel(const JobMix& mix, std::uint64_t seed,
-                    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  InterferenceModel(const JobMix& mix, std::uint64_t seed);
   InterferenceModel(const InterferenceModel&) = delete;
   InterferenceModel& operator=(const InterferenceModel&) = delete;
 
@@ -160,10 +159,10 @@ struct InterferenceResult {
 ///
 /// A K=1 mix delegates every replication to the existing single-
 /// application checkpoint model via run_model (same seeds, same rewards,
-/// bit-identical — including spec.batch / scheduler / failure-policy
-/// handling); its interference-only rewards read as the uncontended ideal
-/// (stretch 1, PFS utilization 0).  For K > 1 the interference engine
-/// honours spec.exec / scheduler / watchdog / cancel / metrics and runs
+/// bit-identical — including failure-policy handling); its
+/// interference-only rewards read as the uncontended ideal (stretch 1, PFS
+/// utilization 0).  For K > 1 the interference engine honours spec.exec /
+/// watchdog / cancel / metrics and runs
 /// fail-fast with fixed replications (sequential stopping, retry/skip
 /// policies, and snapshots stay single-application features).
 [[nodiscard]] InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec);

@@ -2,14 +2,14 @@
 
 namespace ckptsim::proactive {
 
-FailurePredictor::FailurePredictor(const Parameters& params, const sim::Engine& engine,
+FailurePredictor::FailurePredictor(const Parameters& params, const sim::RngPool& pool,
                                    double base_failure_rate)
     : enabled_(params.predictor_enabled),
       recall_(params.predictor_recall),
       lead_mean_(params.predictor_lead_time),
-      tp_(engine.stream("proactive/tp")),
-      lead_(engine.stream("proactive/lead")),
-      false_(engine.stream("proactive/false")) {
+      tp_(pool.stream("proactive/tp")),
+      lead_(pool.stream("proactive/lead")),
+      false_(pool.stream("proactive/false")) {
   if (enabled_ && params.predictor_precision < 1.0 && base_failure_rate > 0.0) {
     false_rate_ = recall_ * base_failure_rate * (1.0 - params.predictor_precision) /
                   params.predictor_precision;

@@ -3,7 +3,7 @@
 #include <optional>
 
 #include "src/model/parameters.h"
-#include "src/sim/engine.h"
+#include "src/sim/rng.h"
 
 namespace ckptsim::proactive {
 
@@ -33,7 +33,7 @@ class FailurePredictor {
   /// `base_failure_rate` is the independent compute-failure rate used to
   /// size the false-alarm process (for trace-driven runs this is still the
   /// parametric rate implied by the MTTF — documented in DESIGN.md).
-  FailurePredictor(const Parameters& params, const sim::Engine& engine,
+  FailurePredictor(const Parameters& params, const sim::RngPool& pool,
                    double base_failure_rate);
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }

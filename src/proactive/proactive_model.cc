@@ -29,11 +29,10 @@ ProactiveCounters ProactiveCounters::operator-(const ProactiveCounters& o) const
   return r;
 }
 
-ProactiveModel::ProactiveModel(const Parameters& params, std::uint64_t seed,
-                               sim::SchedulerKind scheduler)
-    : DesModel(params, seed, scheduler),
-      predictor_(p_, engine_, rates_.independent_rate),
-      repair_rng_(engine_.stream("proactive/repair")) {}
+ProactiveModel::ProactiveModel(const Parameters& params, std::uint64_t seed)
+    : DesModel(params, seed, kNumProactiveSlots),
+      predictor_(p_, pool_, rates_.independent_rate),
+      repair_rng_(pool_.stream("proactive/repair")) {}
 
 ProactiveReplication ProactiveModel::run_replication(double transient, double horizon) {
   arm_false_alarm();
@@ -49,6 +48,18 @@ bool ProactiveModel::idle_executing() const noexcept {
 
 void ProactiveModel::on_warmup_captured() { pro_at_warmup_ = pro_; }
 
+void ProactiveModel::fire_extension(std::uint32_t slot) {
+  switch (slot) {
+    case kSlotWarning: return on_warning(true, warning_fire_time_);
+    case kSlotFalseAlarm:
+      on_warning(false, kNever);
+      return arm_false_alarm();
+    case kSlotPause: return on_pause_done();
+    case kSlotRepair: return on_node_repaired();
+    default: return DesModel::fire_extension(slot);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // predictor plumbing
 
@@ -57,20 +68,17 @@ void ProactiveModel::on_independent_failure_armed(double fire_time) {
   if (!predictor_.enabled()) return;
   // A warning still pending here targets a failure that already fired
   // (warnings never outlive their failure otherwise) — drop it.
-  engine_.cancel(ev_warning_);
-  const std::optional<double> warn = predictor_.predict(engine_.now(), fire_time);
+  cancel(kSlotWarning);
+  const std::optional<double> warn = predictor_.predict(now(), fire_time);
   if (warn.has_value()) {
-    ev_warning_ =
-        engine_.schedule_at(*warn, [this, fire_time] { on_warning(true, fire_time); });
+    warning_fire_time_ = fire_time;
+    schedule_at(kSlotWarning, *warn);
   }
 }
 
 void ProactiveModel::arm_false_alarm() {
   if (predictor_.false_alarm_rate() <= 0.0) return;
-  ev_false_alarm_ = engine_.schedule_in(predictor_.sample_false_alarm_gap(), [this] {
-    on_warning(false, kNever);
-    arm_false_alarm();
-  });
+  schedule_in(kSlotFalseAlarm, predictor_.sample_false_alarm_gap());
 }
 
 void ProactiveModel::on_warning(bool genuine, double predicted_fire) {
@@ -91,7 +99,7 @@ void ProactiveModel::on_warning(bool genuine, double predicted_fire) {
         note(trace::EventKind::kProactiveCkpt);
         // The interval timer is superseded by the immediate checkpoint; it
         // re-arms when the cycle completes (schedule_next_init at resume).
-        engine_.cancel(ev_ckpt_init_);
+        cancel(kSlotCkptInit);
         on_ckpt_init();
       } else {
         ++pro_.actions_skipped;  // protocol or recovery already in progress
@@ -115,12 +123,12 @@ void ProactiveModel::on_warning(bool genuine, double predicted_fire) {
 
 void ProactiveModel::begin_pause(PauseKind kind, double duration) {
   pause_kind_ = kind;
-  engine_.cancel(ev_ckpt_init_);  // interval timer restarts at resume
+  cancel(kSlotCkptInit);  // interval timer restarts at resume
   enter_state(ComputeState::kQuiescing);
   set_useful_rate(0.0);
-  executing_.set_rate(engine_.now(), 0.0);
-  engine_.cancel(ev_app_toggle_);  // application frozen until resume
-  ev_pause_ = engine_.schedule_in(duration, [this] { on_pause_done(); });
+  executing_.set_rate(now(), 0.0);
+  cancel(kSlotAppToggle);  // application frozen until resume
+  schedule_in(kSlotPause, duration);
 }
 
 void ProactiveModel::on_pause_done() {
@@ -148,7 +156,7 @@ void ProactiveModel::cancel_protocol_events() {
   // interval timer re-arms at resume as usual).  Pending warnings survive:
   // they target the still-armed next failure.
   if (pause_kind_ != PauseKind::kNone) {
-    engine_.cancel(ev_pause_);
+    cancel(kSlotPause);
     if (pause_kind_ == PauseKind::kMigration) {
       ++pro_.migrations_wasted;
       migration_for_time_ = kNever;
@@ -170,7 +178,7 @@ bool ProactiveModel::consume_failure(bool independent) {
       // completed evacuation targeted (events fire at their scheduled
       // double, so the equality is bit-exact).  Stale shields can never
       // match again: time strictly advances past them.
-      if (independent && shield_ready_ && engine_.now() == shield_fire_time_) {
+      if (independent && shield_ready_ && now() == shield_fire_time_) {
         shield_ready_ = false;
         ++pro_.failures_absorbed;
         return true;
@@ -201,14 +209,13 @@ bool ProactiveModel::consume_failure(bool independent) {
 // malleable repair pool
 
 void ProactiveModel::reschedule_repair() {
-  engine_.cancel(ev_repair_);
+  cancel(kSlotRepair);
   if (down_nodes_ == 0) return;
   // k nodes in repair complete as the min of k exponentials = one
   // exponential at rate k / MTTR; re-arming on every k change is exact by
   // memorylessness.
   const double rate = static_cast<double>(down_nodes_) / p_.node_repair_time;
-  ev_repair_ =
-      engine_.schedule_in(repair_rng_.exponential_rate(rate), [this] { on_node_repaired(); });
+  schedule_in(kSlotRepair, repair_rng_.exponential_rate(rate));
 }
 
 void ProactiveModel::on_node_repaired() {

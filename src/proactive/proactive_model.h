@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "src/model/des_model.h"
 #include "src/proactive/predictor.h"
@@ -57,8 +56,7 @@ struct ProactiveReplication {
 /// to DesModel.
 class ProactiveModel : public DesModel {
  public:
-  ProactiveModel(const Parameters& params, std::uint64_t seed,
-                 sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  ProactiveModel(const Parameters& params, std::uint64_t seed);
 
   /// Run one replication (same window semantics as DesModel::run) and
   /// report the base rewards plus windowed proactive tallies.
@@ -72,11 +70,18 @@ class ProactiveModel : public DesModel {
   bool consume_failure(bool independent) override;
   void on_warmup_captured() override;
   void cancel_protocol_events() override;
+  void fire_extension(std::uint32_t slot) override;
 
  private:
+  /// Proactive event slots, after the base model's.
+  enum ProactiveSlot : std::uint32_t {
+    kSlotWarning = kNumBaseSlots,
+    kSlotFalseAlarm,
+    kSlotPause,
+    kSlotRepair,
+    kNumProactiveSlots,
+  };
   enum class PauseKind : std::uint8_t { kNone, kMigration, kRescale };
-
-  static constexpr double kNever = std::numeric_limits<double>::infinity();
 
   void on_warning(bool genuine, double predicted_fire);
   void arm_false_alarm();
@@ -95,6 +100,7 @@ class ProactiveModel : public DesModel {
 
   // predictor / migrate state
   double armed_fire_time_ = kNever;   ///< fire time of the armed failure
+  double warning_fire_time_ = kNever; ///< fire time the pending warning targets
   bool shield_ready_ = false;         ///< evacuation completed in time
   double shield_fire_time_ = -1.0;    ///< exact fire time the shield covers
   double migration_for_time_ = kNever;  ///< fire time the in-flight migration
@@ -105,8 +111,6 @@ class ProactiveModel : public DesModel {
 
   // malleable state
   std::uint64_t down_nodes_ = 0;
-
-  sim::EventHandle ev_warning_, ev_false_alarm_, ev_pause_, ev_repair_;
 };
 
 }  // namespace ckptsim::proactive

@@ -65,7 +65,7 @@ ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec) {
       const std::size_t r = begin + i;
       if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) return;
       const obs::WorkerTimer timer(spec.metrics, worker);
-      ProactiveModel model(params, sim::replication_seed(spec.seed, r), spec.scheduler);
+      ProactiveModel model(params, sim::replication_seed(spec.seed, r));
       obs::ReplicationProbe probe;
       if (spec.metrics != nullptr) model.set_event_counts(&probe.events);
       model.set_event_budget(spec.watchdog.max_events);

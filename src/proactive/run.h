@@ -40,10 +40,10 @@ struct ProactiveResult {
 /// draw-for-draw identical to DesModel, so `out.run` matches run_model's
 /// output bit-exactly (same seeds, same aggregation).
 ///
-/// Honours spec.exec / scheduler / watchdog / cancel / metrics / progress
-/// and sequential stopping (deterministic rounds on the useful-work
-/// fraction; out.run.rounds records the round sizes).  Runs fail-fast:
-/// retry/skip policies, batching, and snapshots stay base-model features.
+/// Honours spec.exec / watchdog / cancel / metrics / progress and
+/// sequential stopping (deterministic rounds on the useful-work fraction;
+/// out.run.rounds records the round sizes).  Runs fail-fast: retry/skip
+/// policies and snapshots stay base-model features.
 [[nodiscard]] ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec);
 
 }  // namespace ckptsim::proactive

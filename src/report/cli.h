@@ -50,9 +50,7 @@ class Cli {
 /// precision-driven replications (sequential stopping at relative CI
 /// half-width R, bounded by `--min-replications` / `--max-replications`);
 /// without it the fixed `--reps` count is used and output is byte-identical
-/// to earlier builds.  `--scheduler heap|calendar` selects the event-queue
-/// backend and `--batch N` the lockstep replication width — both pure
-/// performance knobs whose results are bit-identical for any value.
+/// to earlier builds.
 [[nodiscard]] RunSpec bench_spec(const Cli& cli);
 
 /// True when quick mode is active (flag or environment).

@@ -8,8 +8,8 @@
 
 namespace ckptsim::san {
 
-Executor::Executor(const Model& model, std::uint64_t seed, sim::SchedulerKind scheduler)
-    : model_(model), marking_(0, 0), queue_(scheduler), rng_(seed) {}
+Executor::Executor(const Model& model, std::uint64_t seed)
+    : model_(model), marking_(0, 0), rng_(seed) {}
 
 void Executor::ensure_started() {
   if (started_) return;

@@ -86,8 +86,7 @@ StudyResult Study::run(const StudySpec& spec) const {
       ErrorCode code = ErrorCode::kModelError;
       std::string message;
       try {
-        Executor exec(model_, sim::replication_attempt_seed(spec.seed, rep, seed_step),
-                      spec.scheduler);
+        Executor exec(model_, sim::replication_attempt_seed(spec.seed, rep, seed_step));
         exec.set_event_budget(spec.watchdog.max_events);
         for (const auto& r : rate_rewards_) exec.rewards().add_rate(r);
         for (const auto& r : impulse_rewards_) exec.rewards().add_impulse(r);

@@ -34,11 +34,6 @@ struct StudySpec {
   double confidence_level = 0.95;
   ExecSpec exec;  ///< worker threads; results are identical for any jobs
 
-  /// Event-queue backend for every replication's executor, mirroring
-  /// RunSpec::scheduler: a pure performance knob — both backends fire
-  /// activities in the same order, so study results are bit-identical.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
-
   /// Precision-driven replication control, mirroring RunSpec::sequential:
   /// when enabled, `replications` is ignored and deterministic rounds run
   /// until the relative CI half-width of `precision_reward` meets the

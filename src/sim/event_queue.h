@@ -5,7 +5,7 @@
 #include <functional>
 #include <new>
 #include <stdexcept>
-#include <string_view>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,22 +33,6 @@ class EventBudgetExceeded : public std::runtime_error {
  private:
   std::uint64_t budget_;
 };
-
-/// Pending-set implementation selector for EventQueue.  Both backends share
-/// the generation-counted handle table, fire budget, and QueueStats, and
-/// fire the exact same (time, insertion-sequence) order — selecting one is
-/// a pure performance choice that never changes results.
-enum class SchedulerKind : std::uint8_t {
-  kBinaryHeap = 0,  ///< std::push_heap/pop_heap over one vector (default)
-  kCalendar = 1,    ///< calendar queue: time-bucketed ring + overflow year
-};
-
-/// Short stable name for CLI flags / JSON ("heap", "calendar").
-[[nodiscard]] const char* to_string(SchedulerKind kind) noexcept;
-
-/// Parse "heap" / "calendar" (as accepted by the CLI `--scheduler` flag).
-/// Throws std::invalid_argument on anything else.
-[[nodiscard]] SchedulerKind parse_scheduler_kind(std::string_view name);
 
 /// Move-only callable with small-buffer storage, the event queue's callback
 /// type.  Callables up to `kInlineCapacity` bytes (the scheduling hot path:
@@ -185,31 +169,11 @@ struct QueueStats {
 /// schedule/cancel/fire churn touches only pre-grown vectors: no heap
 /// allocation per event, unlike the hash-set bookkeeping it replaces.
 ///
-/// Two interchangeable pending-set backends exist (see SchedulerKind):
-///
-///  * kBinaryHeap — one binary heap under the (time, seq) comparator;
-///    O(log n) schedule/fire.
-///  * kCalendar — a calendar queue (Brown, CACM 1988): a ring of
-///    fixed-width time buckets covering [origin, origin + nbuckets*width)
-///    plus an "overflow year" for events beyond the window.  Events bin by
-///    floor((t - origin)/width); extraction scans forward from the bucket
-///    containing now() and takes the (time, seq)-minimum of the first
-///    bucket holding a live entry (bucket ranges are disjoint and ordered,
-///    so that minimum is global).  When the ring drains, the window jumps
-///    to the earliest overflow event and the overflow re-bins.  The ring
-///    doubles/halves with the live count, giving O(1) expected
-///    schedule/fire for smoothly distributed event times.
-///
-/// Both backends share the slot table, the fire budget, and QueueStats, and
-/// produce identical fire order and `now()` trajectories by construction.
+/// The pending set is one binary heap under the (time, seq) comparator:
+/// O(log n) schedule/fire.
 class EventQueue {
  public:
   using Callback = InlineCallback;
-
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kBinaryHeap) : kind_(kind) {}
-
-  /// Selected pending-set backend (fixed at construction).
-  [[nodiscard]] SchedulerKind scheduler() const noexcept { return kind_; }
 
   /// Schedule `fn` at absolute time `t`.  `t` must be finite (NaN and
   /// +/-infinity are rejected — a NaN time would silently break the
@@ -259,7 +223,7 @@ class EventQueue {
   /// Cancelled entries still occupying pending-set slots (awaiting lazy
   /// removal or compaction).  Bounded by size() + a constant thanks to
   /// compaction.
-  [[nodiscard]] std::size_t dead_count() const noexcept { return stored_count() - live_; }
+  [[nodiscard]] std::size_t dead_count() const noexcept { return heap_.size() - live_; }
 
   /// Lifetime statistics (peaks, cancellations, compactions) for the obs
   /// metrics registry.
@@ -282,17 +246,15 @@ class EventQueue {
 
   /// Serialize the queue: clock, slot table (generations + freelist),
   /// counters, and every live entry as (time, seq, id) in seq order.
-  /// Tombstones are dropped — they never affect fire order — and the
-  /// calendar ring's bucket layout is not recorded (restore re-bins, which
-  /// also never affects fire order).  The fire budget is an execution
-  /// control owned by the caller and is not part of the state.
+  /// Tombstones are dropped — they never affect fire order.  The fire
+  /// budget is an execution control owned by the caller and is not part of
+  /// the state.
   void save_state(snapshot::StateWriter& w) const;
 
   /// Restore onto a freshly constructed queue (throws std::logic_error
-  /// otherwise).  Validates everything before mutating: scheduler-kind
-  /// mismatch (snapshot::SnapshotFault::kSchedulerMismatch), slot-table /
-  /// freelist / entry inconsistencies and unknown ids (kCorrupt), short
-  /// payloads (kTruncated).  `rebuild` supplies the callback for each live
+  /// otherwise).  Validates everything before mutating: slot-table /
+  /// freelist / entry inconsistencies and unknown ids (snapshot::
+  /// SnapshotFault::kCorrupt), short payloads (kTruncated).  `rebuild` supplies the callback for each live
   /// id; returning an empty callback rejects the restore.
   void restore_state(snapshot::StateReader& r, const RebuildFn& rebuild);
 
@@ -333,13 +295,10 @@ class EventQueue {
     --live_;
   }
 
-  /// Entries physically stored (live + tombstones), whichever the backend.
-  [[nodiscard]] std::size_t stored_count() const noexcept;
-
   /// Record the current tombstone count into peak_dead_.  Must run before
   /// any lazy tombstone removal so obs snapshots report the true peak.
   void note_peak_dead() const noexcept {
-    const std::size_t dead = stored_count() - live_;
+    const std::size_t dead = heap_.size() - live_;
     if (dead > peak_dead_) peak_dead_ = dead;
   }
 
@@ -350,33 +309,7 @@ class EventQueue {
   /// entries (and the set is large enough to care).
   void maybe_compact() noexcept;
 
-  // --- calendar backend ---
-  /// Locate the minimum live (time, seq) entry; advances the window past
-  /// drained years as needed.  Returns false when no live entry exists.
-  bool calendar_find_next(std::size_t* bucket, std::size_t* index) const;
-  /// Bin one entry into the ring or the overflow year.
-  void calendar_insert(Entry&& e) const;
-  /// Ring bucket for time `t` under the current origin/width (clamped).
-  [[nodiscard]] std::size_t calendar_index(double t) const noexcept;
-  /// Jump the window to the earliest overflow event and re-bin overflow.
-  /// Returns false when no live overflow entry exists (nothing to jump to).
-  bool calendar_advance_window() const;
-  /// Re-bucket everything: resize the ring to the live count and re-derive
-  /// the bucket width from the observed event-time spacing.
-  void calendar_rebuild() const;
-  /// Grow/shrink the ring when the live count has drifted past thresholds.
-  void calendar_maybe_resize() const;
-
-  const SchedulerKind kind_;
-
-  mutable std::vector<Entry> heap_;  ///< kBinaryHeap: binary heap under Later{}
-
-  mutable std::vector<std::vector<Entry>> buckets_;  ///< kCalendar: ring of time buckets
-  mutable std::vector<Entry> overflow_;              ///< kCalendar: events past the window
-  mutable std::vector<Entry> scratch_;               ///< kCalendar: rebuild staging
-  mutable double origin_ = 0.0;       ///< ring window start (width-aligned)
-  mutable double width_ = 1.0;        ///< bucket time width (> 0)
-  mutable std::size_t ring_stored_ = 0;  ///< entries in buckets_ incl. tombstones
+  mutable std::vector<Entry> heap_;  ///< binary heap under Later{}
 
   std::vector<std::uint32_t> generations_;  ///< slot -> current generation
   std::vector<std::uint32_t> free_slots_;   ///< recycled slot indices

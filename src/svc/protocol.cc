@@ -137,7 +137,7 @@ void apply_params(const obs::JsonValue& obj, Parameters* p) {
 }
 
 /// Apply a "spec" object onto the RunSpec defaults.  Only the knobs a
-/// remote client may set: observers, cancel, exec, and batch stay under the
+/// remote client may set: observers, cancel, and exec stay under the
 /// server's control (they never enter fingerprints, so the cache is
 /// oblivious either way).
 void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
@@ -168,11 +168,6 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
       spec->on_failure.max_retries = static_cast<std::size_t>(require_uint(v, key));
     } else if (key == "max_events") {
       spec->watchdog.max_events = require_uint(v, key);
-    } else if (key == "scheduler") {
-      const std::string kind = require_string(v, key);
-      if (kind == "heap") spec->scheduler = sim::SchedulerKind::kBinaryHeap;
-      else if (kind == "calendar") spec->scheduler = sim::SchedulerKind::kCalendar;
-      else fail("unknown scheduler '" + kind + "' (heap|calendar)");
     } else {
       fail("unknown spec key '" + key + "'");
     }

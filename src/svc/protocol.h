@@ -62,8 +62,7 @@ namespace ckptsim::svc {
 ///
 /// `spec` keys (all optional): reps, seed, horizon_hours, transient_hours,
 /// confidence, rel_precision, min_replications, max_replications,
-/// on_failure ("fail"|"retry"|"skip"), max_retries, max_events, scheduler
-/// ("heap"|"calendar").
+/// on_failure ("fail"|"retry"|"skip"), max_retries, max_events.
 ///
 /// Parsing is strict: an unknown key anywhere, a wrong type, or a value
 /// that fails Parameters/RunSpec validation rejects the whole request —

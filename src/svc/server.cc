@@ -346,7 +346,7 @@ void CampaignServer::worker_loop(std::size_t worker) {
       obs::ReplicationProbe probe;
       outcome = detail::run_replication_guarded(
           ps.params, r.engine, r.spec.seed, t.rep, r.spec.transient, r.spec.horizon,
-          r.spec.on_failure, r.spec.watchdog, &probe, r.spec.fault_injection, r.spec.scheduler,
+          r.spec.on_failure, r.spec.watchdog, &probe, r.spec.fault_injection,
           snap.enabled() ? &snap : nullptr);
       metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
       if (outcome.ok) metrics_->shard(worker).absorb(probe);

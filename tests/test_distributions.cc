@@ -202,7 +202,7 @@ TEST(Distributions, SampleFromUnitFiniteAtTopOfRange) {
 
 TEST(Distributions, SampleNMatchesRepeatedSample) {
   // Bulk sampling must consume the RNG stream exactly like n single draws
-  // and produce bit-identical values (the batched engine relies on this).
+  // and produce bit-identical values.
   const Weibull w(0.7, 4321.0);
   const MaxOfExponentials m(4096, 10.0);
   const Exponential e(42.0);

@@ -10,25 +10,37 @@
 // that claims "no behavioural change" is a bug in that PR.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/model/san_model.h"
+#include "src/nodelevel/node_level_model.h"
 #include "src/san/executor.h"
 #include "src/sim/rng.h"
 #include "src/trace/event_log.h"
 
 namespace {
 
+using ckptsim::CoordinationMode;
 using ckptsim::DesModel;
+using ckptsim::FailureDistribution;
+using ckptsim::NodeLevelModel;
 using ckptsim::Parameters;
 using ckptsim::SanCheckpointModel;
+using ckptsim::SpatialCorrelation;
 using ckptsim::sim::fnv1a64;
 using ckptsim::trace::EventLog;
 using ckptsim::units::kHour;
+using ckptsim::units::kMinute;
+using ckptsim::units::kYear;
 
 /// Checksum of a full DES event log: every retained event's (time, kind,
 /// value) triple plus the total count, rendered with %.17g so the hash is
@@ -103,6 +115,126 @@ TEST(GoldenTrajectory, DesTrajectoryIsSeedDeterministic) {
   };
   EXPECT_EQ(run_checksum(20260805), run_checksum(20260805));
   EXPECT_NE(run_checksum(20260805), run_checksum(20260806));
+}
+
+/// One pinned DES configuration: the model to build, the event-log
+/// checksum and logged-event count of its 60 h run at the golden seed, and
+/// the number of events the scheduler fired.
+struct DesCase {
+  std::string name;
+  std::uint64_t checksum;
+  std::uint64_t logged;
+  std::uint64_t fired;
+  Parameters params;
+  bool node_level = false;
+};
+
+/// A failure log sampled once from a fixed seed (pooled exponential
+/// inter-arrivals, 30 min mean, uniform victim node), written to a temp
+/// file for the trace-driven case.
+std::string write_failure_trace() {
+  const std::string path = std::string(::testing::TempDir()) + "ckptsim_golden_trace_" +
+                           std::to_string(::getpid()) + ".csv";
+  ckptsim::sim::Rng rng(20260809);
+  std::ofstream out(path, std::ios::binary);
+  char line[64];
+  double t = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    t += rng.exponential_mean(30.0 * kMinute);
+    std::snprintf(line, sizeof line, "%llu,%.17g\n",
+                  static_cast<unsigned long long>(rng.below(1024)), t);
+    out << line;
+  }
+  return path;
+}
+
+/// Every handler path of the DES: the defaults, correlated propagation
+/// windows, the generic-correlated mechanism (smooth and phase-switching),
+/// Weibull inter-arrivals, incremental dump chains, synchronous FS writes,
+/// a coordination timeout, trace-driven failures, and the node-level
+/// engine with spatial bursts.
+std::vector<DesCase> des_cases(const std::string& trace_path) {
+  std::vector<DesCase> out;
+  out.push_back({"defaults", 0x303d1019efe156f9ULL, 2653, 3482, Parameters{}});
+  {
+    Parameters p;
+    p.prob_correlated = 0.3;
+    p.correlated_window = 5.0 * kMinute;
+    out.push_back({"correlated", 0xc0afeda266d621abULL, 3512, 3840, p});
+  }
+  {
+    Parameters p;
+    p.generic_correlated_coefficient = 0.6;
+    out.push_back({"generic_smooth", 0x2de9b2f925a995caULL, 23568, 13638, p});
+  }
+  {
+    Parameters p;
+    p.generic_correlated_coefficient = 0.6;
+    p.generic_correlated_smooth = false;
+    out.push_back({"generic_toggle", 0x64a11552247ea75ULL, 27956, 15527, p});
+  }
+  {
+    Parameters p;
+    p.failure_distribution = FailureDistribution::kWeibull;
+    p.weibull_shape = 0.7;
+    out.push_back({"weibull", 0xf9d7dc142723b490ULL, 2716, 3566, p});
+  }
+  {
+    Parameters p;
+    p.incremental_size_fraction = 0.25;
+    p.full_checkpoint_period = 4;
+    out.push_back({"incremental", 0x73e72e615b9e591eULL, 2685, 3522, p});
+  }
+  {
+    Parameters p;
+    p.background_fs_write = false;
+    out.push_back({"sync_fs_write", 0x54d0d03bd510ac4ULL, 2530, 3307, p});
+  }
+  {
+    Parameters p;
+    p.timeout = 30.0;
+    p.coordination = CoordinationMode::kMaxOfExponentials;
+    out.push_back({"timeout_maxexp", 0xa549ff3e5ea8deb5ULL, 2553, 3515, p});
+  }
+  {
+    Parameters p;
+    p.num_processors = 8192;  // 1024 nodes, matching the trace's node range
+    p.failure_trace_path = trace_path;
+    out.push_back({"trace_driven", 0x65eec71a8958af65ULL, 2476, 3112, p});
+  }
+  {
+    Parameters p;
+    p.num_processors = 8192;
+    p.mttf_node = 0.25 * kYear;
+    out.push_back({"node_level_spatial", 0xb089dde7c1b68301ULL, 2899, 3759, p, /*node_level=*/true});
+  }
+  return out;
+}
+
+TEST(GoldenTrajectory, DesConfigurationChecksumsArePinned) {
+  const std::string trace_path = write_failure_trace();
+  for (const DesCase& c : des_cases(trace_path)) {
+    SCOPED_TRACE(c.name);
+    EventLog log(1 << 18);
+    std::unique_ptr<DesModel> model;
+    if (c.node_level) {
+      SpatialCorrelation spatial;
+      spatial.probability = 0.5;
+      spatial.factor = 5000.0;
+      model = std::make_unique<NodeLevelModel>(c.params, spatial, /*seed=*/20260805);
+    } else {
+      model = std::make_unique<DesModel>(c.params, /*seed=*/20260805);
+    }
+    model->set_event_log(&log);
+    (void)model->run(/*transient=*/0.0, /*horizon=*/60.0 * kHour);
+    ASSERT_FALSE(log.dropped_any());
+    EXPECT_EQ(log.total_recorded(), c.logged);
+    EXPECT_EQ(model->queue_stats().fired, c.fired);
+    EXPECT_EQ(event_log_checksum(log), c.checksum)
+        << "new pin {0x" << std::hex << event_log_checksum(log) << "ULL, " << std::dec
+        << log.total_recorded() << ", " << model->queue_stats().fired << "}";
+  }
+  std::remove(trace_path.c_str());
 }
 
 TEST(GoldenTrajectory, SanTrajectoryChecksumIsPinned) {

@@ -20,7 +20,6 @@
 #include "src/proactive/predictor.h"
 #include "src/proactive/proactive_model.h"
 #include "src/proactive/run.h"
-#include "src/sim/engine.h"
 #include "src/sim/rng.h"
 #include "src/trace/event_log.h"
 
@@ -36,7 +35,7 @@ using ckptsim::proactive::ProactiveModel;
 using ckptsim::proactive::ProactiveReplication;
 using ckptsim::proactive::ProactiveResult;
 using ckptsim::proactive::run_proactive;
-using ckptsim::sim::Engine;
+using ckptsim::sim::RngPool;
 using ckptsim::sim::fnv1a64;
 using ckptsim::trace::EventLog;
 using ckptsim::units::kHour;
@@ -63,8 +62,8 @@ RunSpec fast_spec(std::size_t reps = 3) {
 
 TEST(Predictor, DisabledNeverPredictsAndHasNoFalseAlarms) {
   Parameters p;  // predictor_enabled = false
-  Engine engine(1);
-  FailurePredictor pred(p, engine, /*base_failure_rate=*/1e-3);
+  RngPool pool(1);
+  FailurePredictor pred(p, pool, /*base_failure_rate=*/1e-3);
   EXPECT_FALSE(pred.enabled());
   EXPECT_EQ(pred.false_alarm_rate(), 0.0);
   for (int i = 0; i < 100; ++i) {
@@ -74,8 +73,8 @@ TEST(Predictor, DisabledNeverPredictsAndHasNoFalseAlarms) {
 
 TEST(Predictor, ZeroRecallNeverWarns) {
   const Parameters p = predictor_params(1.0, 0.0, 300.0);
-  Engine engine(2);
-  FailurePredictor pred(p, engine, 1e-3);
+  RngPool pool(2);
+  FailurePredictor pred(p, pool, 1e-3);
   EXPECT_EQ(pred.false_alarm_rate(), 0.0);  // recall scales the false rate too
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(pred.predict(0.0, 1000.0).has_value());
@@ -84,8 +83,8 @@ TEST(Predictor, ZeroRecallNeverWarns) {
 
 TEST(Predictor, PerfectPrecisionHasNoFalseAlarmProcess) {
   const Parameters p = predictor_params(1.0, 0.8, 300.0);
-  Engine engine(3);
-  FailurePredictor pred(p, engine, 1e-3);
+  RngPool pool(3);
+  FailurePredictor pred(p, pool, 1e-3);
   EXPECT_EQ(pred.false_alarm_rate(), 0.0);
 }
 
@@ -93,8 +92,8 @@ TEST(Predictor, FalseAlarmRateMatchesPrecisionFormula) {
   // rate_false = recall * rate_fail * (1 - precision) / precision, exactly.
   const double precision = 0.8, recall = 0.5, rate = 2e-3;
   const Parameters p = predictor_params(precision, recall, 300.0);
-  Engine engine(4);
-  FailurePredictor pred(p, engine, rate);
+  RngPool pool(4);
+  FailurePredictor pred(p, pool, rate);
   EXPECT_DOUBLE_EQ(pred.false_alarm_rate(), recall * rate * (1.0 - precision) / precision);
 }
 
@@ -104,8 +103,8 @@ TEST(Predictor, RecallConvergesBinomially) {
   // no room for a flipped Bernoulli or a recall/precision swap.
   const double recall = 0.7;
   const Parameters p = predictor_params(1.0, recall, 300.0);
-  Engine engine(5);
-  FailurePredictor pred(p, engine, 1e-3);
+  RngPool pool(5);
+  FailurePredictor pred(p, pool, 1e-3);
   const std::size_t n = 4000;
   std::size_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -119,8 +118,8 @@ TEST(Predictor, RecallConvergesBinomially) {
 
 TEST(Predictor, WarningNeverBeforeNowNorAfterFailure) {
   const Parameters p = predictor_params(1.0, 1.0, 600.0);
-  Engine engine(6);
-  FailurePredictor pred(p, engine, 1e-3);
+  RngPool pool(6);
+  FailurePredictor pred(p, pool, 1e-3);
   for (int i = 0; i < 2000; ++i) {
     const double now = 100.0 * i;
     const double fire = now + 30.0;  // lead mean 600 s >> gap: clamps often
@@ -133,9 +132,9 @@ TEST(Predictor, WarningNeverBeforeNowNorAfterFailure) {
 
 TEST(Predictor, FalseAlarmGapMeanMatchesRate) {
   const Parameters p = predictor_params(0.5, 0.8, 300.0);
-  Engine engine(7);
+  RngPool pool(7);
   const double rate = 1e-3;
-  FailurePredictor pred(p, engine, rate);
+  FailurePredictor pred(p, pool, rate);
   const double expected_rate = 0.8 * rate * (1.0 - 0.5) / 0.5;
   ASSERT_GT(pred.false_alarm_rate(), 0.0);
   const std::size_t n = 4000;

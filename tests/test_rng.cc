@@ -208,7 +208,7 @@ TEST(Rng, UniformIsStrictlyBelowOne) {
 }
 
 TEST(Rng, UniformNMatchesRepeatedUniform) {
-  // The bulk entry point exists so the batched engine can amortize draws;
+  // The bulk entry point exists so bulk samplers can amortize draws;
   // it must consume the stream exactly like n single draws.
   Rng bulk(77), single(77);
   double out[129];

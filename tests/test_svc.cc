@@ -140,7 +140,7 @@ TEST(SvcProtocol, ParsesParamsAndSpecWithCliUnits) {
       R"({"op":"sweep","id":"a","axis":"processors","values":[8192],"priority":3,)"
       R"("engine":"san","label":"mine",)"
       R"("params":{"mttf_years":5,"interval_min":60,"ckpt_mb":128,"io_failures":false},)"
-      R"("spec":{"reps":7,"seed":9,"horizon_hours":100,"on_failure":"skip","scheduler":"calendar"}})",
+      R"("spec":{"reps":7,"seed":9,"horizon_hours":100,"on_failure":"skip"}})",
       &req, &error))
       << error;
   EXPECT_EQ(req.priority, 3);
@@ -155,7 +155,6 @@ TEST(SvcProtocol, ParsesParamsAndSpecWithCliUnits) {
   EXPECT_EQ(req.spec.seed, 9u);
   EXPECT_DOUBLE_EQ(req.spec.horizon, 100.0 * kHour);
   EXPECT_EQ(req.spec.on_failure.mode, ckptsim::FailurePolicy::Mode::kSkip);
-  EXPECT_EQ(req.spec.scheduler, ckptsim::sim::SchedulerKind::kCalendar);
 }
 
 TEST(SvcProtocol, RejectsMalformedAndUnknown) {
@@ -178,6 +177,11 @@ TEST(SvcProtocol, RejectsMalformedAndUnknown) {
   EXPECT_NE(error.find("procesors"), std::string::npos) << error;
   EXPECT_FALSE(ckptsim::svc::parse_request(
       R"({"op":"sweep","id":"a","axis":"interval","spec":{"repz":3}})", &req, &error));
+  // The event-queue backend is no longer selectable: "scheduler" is an
+  // unknown spec key like any other.
+  EXPECT_FALSE(ckptsim::svc::parse_request(
+      R"({"op":"sweep","id":"a","axis":"interval","spec":{"scheduler":"heap"}})", &req, &error));
+  EXPECT_NE(error.find("unknown spec key 'scheduler'"), std::string::npos) << error;
   // Type errors.
   EXPECT_FALSE(ckptsim::svc::parse_request(
       R"({"op":"sweep","id":"a","axis":"interval","values":"15"})", &req, &error));

@@ -86,11 +86,6 @@ Simulation:
   --reps N --seed N --horizon-hours H --transient-hours T --quick
   --jobs N                replication worker threads    [auto: CKPTSIM_JOBS,
                           then hardware]; results identical for any N
-  --scheduler KIND        event-queue backend: heap | calendar   [heap]
-                          results are bit-identical either way
-  --batch N               DES replications advanced in lockstep by one
-                          worker (batched SoA engine when N > 1); results
-                          bit-identical for any N                [1]
   --job-hours W           job-completion mode: makespan of W useful hours
 
 Precision-driven replications (run and sweep modes):
@@ -216,7 +211,7 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
     {"--optimize-processors", true},                          {"--optimize-policies", true},
     {"--engine", true},         {"--reps", true},             {"--seed", true},
     {"--horizon-hours", true},  {"--transient-hours", true},  {"--quick", false},
-    {"--jobs", true},           {"--scheduler", true},        {"--batch", true},
+    {"--jobs", true},
     {"--job-hours", true},      {"--rel-precision", true},    {"--min-replications", true},
     {"--max-replications", true},{"--on-failure", true},      {"--max-retries", true},
     {"--max-events", true},     {"--snapshot-every-events", true},
