@@ -5,9 +5,10 @@
 // Invoked with --engine-json=PATH the binary instead runs a fixed engine
 // harness and writes BENCH_engine.json: events/sec and firings/sec of the
 // event queue, the SAN executor (incremental vs forced full-rescan
-// refresh) and the DES, plus heap allocations per event in steady state —
-// the CI smoke step asserts the latter is zero — and the DES-to-SAN
-// events/sec ratio.
+// refresh), the DES and its two variant engines (a K = 4 interference mix
+// and the 32K-processor per-node model), plus heap allocations per event —
+// the CI smoke step asserts them zero in steady state and amortized-small
+// where construction is timed — and the DES-to-SAN events/sec ratio.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -21,7 +22,10 @@
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/model/san_model.h"
+#include "src/nodelevel/node_level_model.h"
 #include "src/obs/json.h"
+#include "src/platform/interference.h"
+#include "src/platform/job_mix.h"
 #include "src/san/executor.h"
 #include "src/sim/distributions.h"
 #include "src/sim/event_queue.h"
@@ -292,10 +296,59 @@ EngineSample run_des(const Parameters& p, std::size_t reps, double horizon) {
   return s;
 }
 
+/// K = 4 interference replications, one per PFS policy, construct + run;
+/// the mix is perfbench's variants mix.
+EngineSample run_interference_k4(double horizon) {
+  namespace platform = ckptsim::platform;
+  const Parameters base;
+  platform::JobMix mix = platform::parse_job_mix(
+      "big:procs=65536,interval_min=30;mid:procs=16384,interval_min=20;"
+      "small:procs=8192,interval_min=15;tiny:procs=4096,interval_min=15",
+      base);
+  EngineSample s;
+  const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const auto t0 = Clock::now();
+  std::uint64_t r = 0;
+  for (const platform::PfsPolicy policy :
+       {platform::PfsPolicy::kFairShare, platform::PfsPolicy::kFcfs,
+        platform::PfsPolicy::kBlockingCooperative, platform::PfsPolicy::kStaggered}) {
+    mix.pfs.policy = policy;
+    platform::InterferenceModel model(mix, ckptsim::sim::replication_seed(20260808, r++));
+    const auto result = model.run(10.0 * kHour, horizon);
+    benchmark::DoNotOptimize(result.pfs_utilization);
+    s.events += model.queue_stats().fired;
+  }
+  s.seconds = seconds_since(t0);
+  s.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  s.firings = s.events;
+  return s;
+}
+
+/// Per-node replications at 32K processors (4096 nodes), construct + run,
+/// as bench_ablation_aggregation runs them.
+EngineSample run_nodelevel_32k(std::size_t reps, double horizon) {
+  Parameters p;
+  p.num_processors = 32768;
+  p.mttf_node = 0.5 * ckptsim::units::kYear;
+  EngineSample s;
+  const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const auto t0 = Clock::now();
+  for (std::size_t r = 0; r < reps; ++r) {
+    ckptsim::NodeLevelModel model(p, ckptsim::sim::replication_seed(20260808, r));
+    const auto result = model.run(20.0 * kHour, horizon);
+    benchmark::DoNotOptimize(result.useful_fraction);
+    s.events += model.queue_stats().fired;
+  }
+  s.seconds = seconds_since(t0);
+  s.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  s.firings = s.events;
+  return s;
+}
+
 int run_engine_report(const std::string& path) {
   ckptsim::obs::JsonWriter w;
   w.begin_object();
-  w.kv("schema", "ckptsim/bench-engine/v2");
+  w.kv("schema", "ckptsim/bench-engine/v3");
 
   write_sample(w, "event_queue", run_queue_window(2'000'000));
 
@@ -333,6 +386,11 @@ int run_engine_report(const std::string& path) {
   };
   w.kv("des_speedup_vs_san",
        per_sec(ckpt_inc) > 0.0 ? per_sec(des) / per_sec(ckpt_inc) : 0.0);
+
+  // The variant engines on the same footing (construct + run, so their
+  // allocs/event are amortized-small rather than zero).
+  write_sample(w, "interference_k4", run_interference_k4(/*horizon=*/1000.0 * kHour));
+  write_sample(w, "nodelevel_32k", run_nodelevel_32k(/*reps=*/2, /*horizon=*/300.0 * kHour));
 
   w.end_object();
   std::FILE* f = std::fopen(path.c_str(), "w");

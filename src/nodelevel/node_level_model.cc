@@ -35,6 +35,24 @@ std::uint64_t NodeLevelModel::group_of(std::uint64_t node) const noexcept {
   return node / p_.compute_nodes_per_io_node;
 }
 
+QuiesceMax sample_quiesce_max(sim::Rng& rng, std::uint64_t nodes,
+                              const sim::MaxOfExponentials& per_node) {
+  // The per-node inverse CDF is increasing, so the node with the largest
+  // unit draw is the node with the largest quiesce time: take the argmax
+  // over the raw draws and transform only the winner.  The stream still
+  // advances by exactly `nodes` draws.
+  double best = -1.0;
+  std::uint64_t straggler = 0;
+  for (std::uint64_t node = 0; node < nodes; ++node) {
+    const double u = rng.uniform();
+    if (u > best) {
+      best = u;
+      straggler = node;
+    }
+  }
+  return {per_node.sample_from_unit(best), straggler};
+}
+
 double NodeLevelModel::sample_coordination_time() {
   if (p_.coordination != CoordinationMode::kMaxOfExponentials) {
     return DesModel::sample_coordination_time();
@@ -42,20 +60,11 @@ double NodeLevelModel::sample_coordination_time() {
   // Explicit maximum over every node's quiesce time; a node's quiesce time
   // is the maximum over its processors' i.i.d. exponential times, sampled
   // directly from the closed-form per-node distribution.
-  const sim::MaxOfExponentials per_node(p_.processors_per_node, p_.mttq);
-  const std::uint64_t n = p_.nodes();
-  double worst = 0.0;
-  std::uint64_t straggler = 0;
-  for (std::uint64_t node = 0; node < n; ++node) {
-    const double t = per_node.sample(rng_quiesce_);
-    if (t > worst) {
-      worst = t;
-      straggler = node;
-    }
-  }
-  ++straggler_counts_[straggler];
-  coordination_latency_.add(worst);
-  return worst;
+  const QuiesceMax q = sample_quiesce_max(
+      rng_quiesce_, p_.nodes(), sim::MaxOfExponentials(p_.processors_per_node, p_.mttq));
+  ++straggler_counts_[q.straggler];
+  coordination_latency_.add(q.latency);
+  return q.latency;
 }
 
 void NodeLevelModel::record_victim(std::uint64_t node, bool spatial) {

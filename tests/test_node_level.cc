@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/nodelevel/node_level_model.h"
 #include "src/sim/distributions.h"
+#include "src/sim/rng.h"
 
 namespace {
 
@@ -144,6 +148,44 @@ TEST(NodeLevel, NonMaxCoordinationModesDelegateToBase) {
   const auto r = model.run(0.0, 100.0 * kHour);
   EXPECT_GT(r.counters.ckpt_dumped, 0u);
   EXPECT_EQ(model.coordination_latency().count(), 0u);  // closed-form path used
+}
+
+/// The per-node loop sample_quiesce_max replaces: transform every node's
+/// draw through the per-node inverse CDF and keep the first strict maximum.
+ckptsim::QuiesceMax reference_quiesce_max(ckptsim::sim::Rng& rng, std::uint64_t nodes,
+                                          const ckptsim::sim::MaxOfExponentials& per_node) {
+  double worst = 0.0;
+  std::uint64_t straggler = 0;
+  for (std::uint64_t node = 0; node < nodes; ++node) {
+    const double t = per_node.sample(rng);
+    if (t > worst) {
+      worst = t;
+      straggler = node;
+    }
+  }
+  return {worst, straggler};
+}
+
+TEST(NodeLevel, ArgmaxDrawMatchesPerNodeTransformLoop) {
+  // One transform of the largest draw gives the bit-identical latency, the
+  // same straggler, and leaves the stream where the per-node loop left it.
+  for (const std::uint64_t nodes : {1ULL, 2ULL, 1024ULL, 4096ULL}) {
+    for (const std::uint64_t per_node : {1ULL, 8ULL}) {
+      const ckptsim::sim::MaxOfExponentials dist(per_node, 10.0);
+      for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(std::to_string(nodes) + " nodes x " + std::to_string(per_node) +
+                     " processors, seed " + std::to_string(seed));
+        ckptsim::sim::Rng a(seed);
+        ckptsim::sim::Rng b(seed);
+        const ckptsim::QuiesceMax ref = reference_quiesce_max(a, nodes, dist);
+        const ckptsim::QuiesceMax got = ckptsim::sample_quiesce_max(b, nodes, dist);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.latency),
+                  std::bit_cast<std::uint64_t>(ref.latency));
+        EXPECT_EQ(got.straggler, ref.straggler);
+        EXPECT_EQ(a.uniform(), b.uniform());
+      }
+    }
+  }
 }
 
 TEST(NodeLevel, ValidatesSpatialParameters) {
