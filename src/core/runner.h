@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "src/core/fault.h"
+#include "src/core/replicate.h"
 #include "src/core/results.h"
 #include "src/model/parameters.h"
 
@@ -63,32 +66,42 @@ enum class EngineKind {
 
 namespace detail {
 
-/// Outcome of one replication executed under a FailurePolicy: either a
-/// result (possibly after retries — then `failure` records what was
-/// recovered from), or a permanent failure.  `attempts == 0` marks a
-/// replication abandoned before its first attempt (fail-fast bail-out or
-/// cancellation).
-struct ReplicationOutcome {
-  bool ok = false;
-  ReplicationResult result;     ///< valid when ok
-  ReplicationFailure failure;   ///< last failure; meaningful when !ok or attempts > 1
-  std::size_t attempts = 0;     ///< attempts consumed
-};
+/// Outcome of one base-model replication under a FailurePolicy.
+using ReplicationOutcome = Outcome<ReplicationResult>;
 
-/// Run replication `rep` with retry/watchdog handling.  Catches every
-/// attempt failure and classifies it into the ErrorCode taxonomy — the
-/// parallel drivers' tasks never throw, so failures reach the caller as
-/// structured accounting instead of being torn out of ThreadPool::wait.
-/// Attempt seeds: the canonical sim::replication_seed stream, advanced to
-/// a fresh sim::replication_attempt_seed substream only after failures
-/// that are deterministic in (params, seed) — so a transient failure
-/// retried successfully reproduces a clean run bit-identically.
+/// Run replication `rep` of `params` on `engine` under the attempt loop
+/// (run_attempts): a result whose rewards are non-finite counts as a
+/// kNonFiniteReward failure, and `probe` receives the telemetry of the
+/// attempt that succeeds only.  The unit of work of run_model, sweep and
+/// the campaign server.
 [[nodiscard]] ReplicationOutcome run_replication_guarded(
     const Parameters& params, EngineKind engine, std::uint64_t master_seed, std::size_t rep,
     double transient, double horizon, const FailurePolicy& policy, const WatchdogSpec& watchdog,
     obs::ReplicationProbe* probe,
     const std::function<void(std::size_t, std::size_t)>& fault_injection,
     const SnapshotSpec* snapshot = nullptr);
+
+/// One group of run_model / sweep: a point's parameters and the file-name
+/// stem of its replication snapshots (`<snapshot_dir>/<stem><rep>.snap`).
+struct Point {
+  const Parameters* params = nullptr;
+  std::string snapshot_stem;
+};
+
+/// The path run_model and sweep share: every point is one driver group
+/// whose replications run under run_replication_guarded (snapshots per
+/// spec, telemetry into spec.metrics), stopped on the useful-work fraction
+/// under sequential stopping.  `tasks.group_done` / `tasks.where` are the
+/// caller's; `run` and `value` are filled in here.
+[[nodiscard]] std::vector<GroupOutcomes<ReplicationResult>> replicate_points(
+    const std::vector<Point>& points, const RunSpec& spec, EngineKind engine,
+    const DriverSpec& driver, ReplicationTasks<ReplicationResult> tasks);
+
+/// Aggregate a finished group (replication-index order) with its failure
+/// accounting and round sizes.
+[[nodiscard]] RunResult aggregate_outcomes(const std::vector<ReplicationOutcome>& outcomes,
+                                           const std::vector<std::uint32_t>& rounds,
+                                           double confidence_level, const Parameters& params);
 
 }  // namespace detail
 

@@ -11,8 +11,8 @@
 
 namespace ckptsim {
 
-/// Execution controls shared by every multi-replication entry point
-/// (`run_model`, `sweep`, `san::Study::run`).  Results are aggregated in
+/// Execution controls shared by every multi-replication entry point (the
+/// replication driver, core/replicate.h).  Results are aggregated in
 /// replication-index order, so any `jobs` value — including the auto
 /// default — produces bit-identical output to the serial path.
 struct ExecSpec {

@@ -1,15 +1,13 @@
 #include "src/platform/interference.h"
 
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/replicate.h"
 #include "src/core/runner.h"
-#include "src/core/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/obs/progress.h"
 #include "src/sim/distributions.h"
 #include "src/sim/rng.h"
 #include "src/stats/confidence.h"
@@ -349,6 +347,7 @@ InterferenceResult from_single_application(const JobMix& mix, const RunResult& r
   }
   out.jobs.push_back(std::move(job));
   out.replications = r.replications;
+  out.failures = r.failures;
   return out;
 }
 
@@ -364,41 +363,37 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
     return from_single_application(mix, run_model(mix.jobs.front().params, spec,
                                                   EngineKind::kDes));
   }
-  std::size_t jobs = spec.exec.resolve();
-  if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
-  if (spec.progress != nullptr) spec.progress->begin("run_interference", spec.replications);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<InterferenceReplication> reps(spec.replications);
-  parallel_for_workers(jobs, spec.replications, [&](std::size_t worker, std::size_t r) {
-    if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) return;
-    const obs::WorkerTimer timer(spec.metrics, worker);
-    InterferenceModel model(mix, sim::replication_seed(spec.seed, r));
+  detail::ReplicationTasks<InterferenceReplication> tasks;
+  tasks.run = [&](std::size_t worker, std::size_t, std::size_t rep, InterferenceReplication& out) {
     obs::ReplicationProbe probe;
-    if (spec.metrics != nullptr) model.set_event_counts(&probe.events);
-    model.set_event_budget(spec.watchdog.max_events);
-    reps[r] = model.run(spec.transient, spec.horizon);
-    if (spec.metrics != nullptr) {
-      probe.queue = model.queue_stats();
-      spec.metrics->shard(worker).absorb(probe);
-    }
-    if (spec.progress != nullptr) spec.progress->tick();
-  });
-  if (spec.metrics != nullptr) {
-    spec.metrics->add_wall_seconds(std::chrono::duration_cast<std::chrono::duration<double>>(
-                                       std::chrono::steady_clock::now() - t0)
-                                       .count());
-  }
-  if (spec.progress != nullptr) spec.progress->finish();
-  if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) {
-    throw SimError(ErrorCode::kInterrupted, "run_interference: cancelled");
-  }
+    const detail::ReplicationStatus status = detail::run_attempts(
+        spec.seed, rep, spec.on_failure, spec.fault_injection,
+        [&](std::uint64_t seed, std::string*) {
+          InterferenceModel model(mix, seed);
+          probe = obs::ReplicationProbe{};
+          if (spec.metrics != nullptr) model.set_event_counts(&probe.events);
+          model.set_event_budget(spec.watchdog.max_events);
+          out = model.run(spec.transient, spec.horizon);
+          probe.queue = model.queue_stats();
+          return true;
+        });
+    if (status.ok && spec.metrics != nullptr) spec.metrics->shard(worker).absorb(probe);
+    return status;
+  };
+  tasks.where = [](std::size_t) { return std::string("run_interference: "); };
+  detail::DriverSpec driver = detail::driver_spec(spec, "run_interference");
+  // Fixed replications: K jobs have no one reward for a stopper to watch.
+  driver.sequential = stats::SequentialSpec{};
+  const auto groups = detail::replicate(driver, 1, tasks);
   // Aggregate in replication-index order (bit-identical CIs for any
   // spec.exec job count).
   InterferenceResult out;
-  out.replications = reps.size();
   out.jobs.resize(mix.jobs.size());
   for (std::size_t j = 0; j < mix.jobs.size(); ++j) out.jobs[j].name = mix.jobs[j].name;
-  for (const InterferenceReplication& rep : reps) {
+  for (const auto& o : groups[0].reps) {
+    if (!o.ok) continue;
+    const InterferenceReplication& rep = o.result;
+    ++out.replications;
     out.pfs_utilization.add(rep.pfs_utilization);
     for (std::size_t j = 0; j < rep.jobs.size(); ++j) {
       InterferenceJobResult& agg = out.jobs[j];
@@ -411,6 +406,7 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
   for (InterferenceJobResult& agg : out.jobs) {
     agg.useful_fraction = stats::mean_confidence(agg.fraction_replicates, spec.confidence_level);
   }
+  out.failures = detail::failure_accounting(groups[0].reps);
   return out;
 }
 

@@ -180,7 +180,10 @@ struct InterferenceJobResult {
 struct InterferenceResult {
   std::vector<InterferenceJobResult> jobs;
   stats::Summary pfs_utilization;  ///< PFS busy fraction per replication
-  std::size_t replications = 0;
+  std::size_t replications = 0;    ///< replications aggregated (successes)
+  /// Skipped / recovered replications under the failure policy; empty for
+  /// clean runs.
+  FailureAccounting failures;
 
   [[nodiscard]] std::string describe() const;
 };
@@ -195,10 +198,12 @@ struct InterferenceResult {
 /// application checkpoint model via run_model (same seeds, same rewards,
 /// bit-identical — including failure-policy handling); its
 /// interference-only rewards read as the uncontended ideal (stretch 1, PFS
-/// utilization 0).  For K > 1 the interference engine honours spec.exec /
-/// watchdog / cancel / metrics and runs
-/// fail-fast with fixed replications (sequential stopping, retry/skip
-/// policies, and snapshots stay single-application features).
+/// utilization 0).  For K > 1 the interference engine runs on the shared
+/// replication driver (core/replicate.h) and honours spec.exec / seed /
+/// transient / horizon / replications / confidence_level, on_failure
+/// (fail-fast, retry, skip; out.failures), fault_injection, watchdog,
+/// cancel, metrics and progress.  It runs a fixed replication count:
+/// sequential stopping and snapshots stay single-application features.
 [[nodiscard]] InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec);
 
 }  // namespace ckptsim::platform

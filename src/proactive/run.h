@@ -15,8 +15,8 @@ struct ProactiveResult {
   RunResult run;             ///< base rewards, aggregated like run_model
   ProactiveCounters totals;  ///< proactive tallies summed over replications
 
-  /// True failures (independent + correlated) per replication, in
-  /// replication-index order.  This is the common-random-numbers witness:
+  /// True failures (independent + correlated) per successful replication,
+  /// in replication-index order.  This is the common-random-numbers witness:
   /// for a fixed (params-without-policy, spec.seed) it is bit-identical
   /// across every predictor setting and every policy.
   std::vector<std::uint64_t> failures_per_rep;
@@ -40,10 +40,14 @@ struct ProactiveResult {
 /// draw-for-draw identical to DesModel, so `out.run` matches run_model's
 /// output bit-exactly (same seeds, same aggregation).
 ///
-/// Honours spec.exec / watchdog / cancel / metrics / progress and
-/// sequential stopping (deterministic rounds on the useful-work fraction;
-/// out.run.rounds records the round sizes).  Runs fail-fast: retry/skip
-/// policies and snapshots stay base-model features.
+/// Runs on the shared replication driver (core/replicate.h) and honours
+/// spec.exec / seed / transient / horizon / replications /
+/// confidence_level, sequential stopping (deterministic rounds on the
+/// useful-work fraction; out.run.rounds records the round sizes),
+/// on_failure (fail-fast, retry, skip; out.run.failures), fault_injection,
+/// watchdog, cancel, metrics and progress.  Snapshots stay a base-model
+/// feature.  Under the skip policy, failures_per_rep lists the successful
+/// replications only.
 [[nodiscard]] ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec);
 
 }  // namespace ckptsim::proactive

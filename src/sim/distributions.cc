@@ -8,10 +8,6 @@
 
 namespace ckptsim::sim {
 
-void Distribution::sample_n(Rng& rng, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = sample(rng);
-}
-
 Deterministic::Deterministic(double value) : value_(value) {
   if (value < 0.0) throw std::invalid_argument("Deterministic: negative latency");
 }
@@ -24,11 +20,6 @@ std::string Deterministic::describe() const {
 
 Exponential::Exponential(double mean) : mean_(mean) {
   if (!(mean > 0.0)) throw std::invalid_argument("Exponential: mean must be > 0");
-}
-
-void Exponential::sample_n(Rng& rng, double* out, std::size_t n) const {
-  rng.uniform_n(out, n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = sample_from_unit(out[i]);
 }
 
 double Exponential::cdf(double x) const noexcept {
@@ -61,11 +52,6 @@ double MaxOfExponentials::sample_from_unit(double u) const noexcept {
 }
 
 double MaxOfExponentials::sample(Rng& rng) const { return sample_from_unit(rng.uniform()); }
-
-void MaxOfExponentials::sample_n(Rng& rng, double* out, std::size_t n) const {
-  rng.uniform_n(out, n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = sample_from_unit(out[i]);
-}
 
 double MaxOfExponentials::harmonic(std::uint64_t n) noexcept {
   if (n <= 128) {
@@ -132,11 +118,6 @@ double Weibull::sample_from_unit(double unit) const noexcept {
 
 double Weibull::sample(Rng& rng) const { return sample_from_unit(rng.uniform()); }
 
-void Weibull::sample_n(Rng& rng, double* out, std::size_t n) const {
-  rng.uniform_n(out, n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = sample_from_unit(out[i]);
-}
-
 double Weibull::mean() const { return scale_ * std::tgamma(1.0 + 1.0 / shape_); }
 
 std::string Weibull::describe() const {
@@ -147,11 +128,6 @@ std::string Weibull::describe() const {
 
 Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
   if (!(hi > lo)) throw std::invalid_argument("Uniform: hi must exceed lo");
-}
-
-void Uniform::sample_n(Rng& rng, double* out, std::size_t n) const {
-  rng.uniform_n(out, n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = lo_ + (hi_ - lo_) * out[i];
 }
 
 std::string Uniform::describe() const {

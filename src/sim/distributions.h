@@ -21,13 +21,6 @@ class Distribution {
   /// Draw one sample (>= 0 for all distributions in this library).
   [[nodiscard]] virtual double sample(Rng& rng) const = 0;
 
-  /// Fill `out[0..n)` with samples — bit-identical to n calls of
-  /// sample(rng) (same Rng state consumed in the same order).  The base
-  /// implementation loops; single-uniform distributions override it to
-  /// bulk-draw uniforms via Rng::uniform_n and run the inverse-CDF
-  /// transform as a flat loop the compiler can vectorise.
-  virtual void sample_n(Rng& rng, double* out, std::size_t n) const;
-
   /// Exact mean of the distribution.
   [[nodiscard]] virtual double mean() const = 0;
 
@@ -53,10 +46,8 @@ class Exponential final : public Distribution {
  public:
   explicit Exponential(double mean);
   [[nodiscard]] double sample(Rng& rng) const override { return rng.exponential_mean(mean_); }
-  void sample_n(Rng& rng, double* out, std::size_t n) const override;
   /// Inverse-CDF transform of one unit-interval draw (the exact arithmetic
-  /// sample() applies), for batched samplers transforming buffered
-  /// uniforms.
+  /// sample() applies).
   [[nodiscard]] double sample_from_unit(double unit) const noexcept {
     return exponential_from_unit(unit, mean_);
   }
@@ -81,7 +72,6 @@ class MaxOfExponentials final : public Distribution {
  public:
   MaxOfExponentials(std::uint64_t n, double per_item_mean);
   [[nodiscard]] double sample(Rng& rng) const override;
-  void sample_n(Rng& rng, double* out, std::size_t n) const override;
   /// Inverse-CDF transform of one unit-interval draw (the exact arithmetic
   /// sample() applies to rng.uniform()).
   [[nodiscard]] double sample_from_unit(double unit) const noexcept;
@@ -122,7 +112,6 @@ class Weibull final : public Distribution {
  public:
   Weibull(double shape, double scale);
   [[nodiscard]] double sample(Rng& rng) const override;
-  void sample_n(Rng& rng, double* out, std::size_t n) const override;
   /// Inverse-CDF transform of one unit-interval draw (the exact arithmetic
   /// sample() applies to rng.uniform()).
   [[nodiscard]] double sample_from_unit(double unit) const noexcept;
@@ -138,7 +127,6 @@ class Uniform final : public Distribution {
  public:
   Uniform(double lo, double hi);
   [[nodiscard]] double sample(Rng& rng) const override { return rng.uniform(lo_, hi_); }
-  void sample_n(Rng& rng, double* out, std::size_t n) const override;
   [[nodiscard]] double mean() const override { return 0.5 * (lo_ + hi_); }
   [[nodiscard]] std::string describe() const override;
 

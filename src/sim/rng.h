@@ -39,14 +39,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform() { return clamp_unit(unit_(engine_)); }
 
-  /// Fill `out[0..n)` with uniform draws in [0, 1) — bit-identical to n
-  /// calls of uniform() (same engine state consumed in the same order);
-  /// the bulk entry point exists so batched samplers amortise call
-  /// overhead and keep the transform loops vectorisable.
-  void uniform_n(double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = clamp_unit(unit_(engine_));
-  }
-
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
@@ -61,12 +53,6 @@ class Rng {
 
   /// Uniform integer in [0, n).
   std::uint64_t below(std::uint64_t n);
-
-  /// Fill `out[0..count)` with uniform integers in [0, n) — bit-identical
-  /// to count calls of below(n).
-  void below_n(std::uint64_t n, std::uint64_t* out, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = below(n);
-  }
 
   /// Underlying engine access for std:: distributions.
   std::mt19937_64& engine() noexcept { return engine_; }

@@ -174,7 +174,6 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
   c->id = req.id;
   c->priority = req.priority;
   c->sink = sink;
-  if (req.spec.sequential.enabled()) c->stopper.emplace(req.spec.sequential);
   c->req = std::move(req);
   const Request& r = c->req;
 
@@ -259,9 +258,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
 
   for (std::size_t i = 0; i < c->points.size(); ++i) {
     if (c->points[i].finalized) continue;
-    schedule_round(c, i,
-                   c->stopper.has_value() ? c->stopper->initial_round()
-                                          : r.spec.replications);
+    schedule_round(c, i, detail::first_round(r.spec.sequential, r.spec.replications));
   }
   campaigns_.push_back(c);
   svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
@@ -392,7 +389,7 @@ void CampaignServer::schedule_round(const CampaignPtr& c, std::size_t point, std
   PointState& ps = c->points[point];
   const std::size_t begin = ps.outcomes.size();
   ps.outcomes.resize(begin + batch);
-  if (c->stopper.has_value()) ps.rounds.push_back(static_cast<std::uint32_t>(batch));
+  if (c->req.spec.sequential.enabled()) ps.rounds.push_back(static_cast<std::uint32_t>(batch));
   for (std::size_t rep = begin; rep < begin + batch; ++rep) {
     c->ready.push_back(Task{point, rep});
   }
@@ -419,11 +416,11 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
   ps.outcomes[t.rep] = std::move(outcome);
   ++ps.completed;
   if (ps.completed != ps.outcomes.size()) return;
-  if (c->stopper.has_value()) {
-    // Round complete.  The stopper is a pure function of (spec, scheduled,
-    // aggregate) — identical to sweep_adaptive's per-point decision — so no
-    // cross-point barrier is needed and replication counts reproduce the
-    // CLI's adaptive sweeps bit-identically.
+  if (c->req.spec.sequential.enabled()) {
+    // Round complete.  The stopping decision is a pure function of (spec,
+    // scheduled, aggregate) — the same one the replication driver takes per
+    // sweep point — so no cross-point barrier is needed and replication
+    // counts reproduce the CLI's adaptive sweeps bit-identically.
     bool point_failed = false;
     for (const auto& o : ps.outcomes) {
       if (!o.ok && c->req.spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
@@ -436,10 +433,10 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
       for (const auto& o : ps.outcomes) {
         if (o.ok) agg.add(o.result.useful_fraction);
       }
-      const stats::SequentialDecision d =
-          c->stopper->decide(ps.outcomes.size(), agg, c->req.spec.confidence_level);
-      if (!d.stop) {
-        schedule_round(c, t.point, d.next_batch);
+      const std::size_t batch = detail::next_round(c->req.spec.sequential, ps.outcomes.size(),
+                                                   agg, c->req.spec.confidence_level);
+      if (batch != 0) {
+        schedule_round(c, t.point, batch);
         work_cv_.notify_all();
         return;
       }
@@ -467,20 +464,8 @@ void CampaignServer::finalize_point(const CampaignPtr& c, std::size_t point) {
                    std::to_string(o.failure.attempts) + " attempt(s): " + o.failure.message));
     return;
   }
-  std::vector<ReplicationResult> successes;
-  successes.reserve(ps.outcomes.size());
-  FailureAccounting accounting;
-  for (const auto& o : ps.outcomes) {
-    if (o.ok) {
-      successes.push_back(o.result);
-      if (o.attempts > 1) accounting.recovered.push_back(o.failure);
-    } else {
-      accounting.skipped.push_back(o.failure);
-    }
-  }
-  RunResult result = aggregate_replications(successes, r.spec.confidence_level, ps.params);
-  result.failures = std::move(accounting);
-  result.rounds = ps.rounds;
+  const RunResult result =
+      detail::aggregate_outcomes(ps.outcomes, ps.rounds, r.spec.confidence_level, ps.params);
   // Insert before the "point" line is queued: by the time a client reads
   // the response, the entry is fsync'd and survives a daemon restart.
   cache_.insert(ps.fingerprint, ps.x, result);

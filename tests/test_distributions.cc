@@ -200,21 +200,4 @@ TEST(Distributions, SampleFromUnitFiniteAtTopOfRange) {
       std::isfinite(ckptsim::sim::exponential_from_unit(top, 3600.0)));
 }
 
-TEST(Distributions, SampleNMatchesRepeatedSample) {
-  // Bulk sampling must consume the RNG stream exactly like n single draws
-  // and produce bit-identical values.
-  const Weibull w(0.7, 4321.0);
-  const MaxOfExponentials m(4096, 10.0);
-  const Exponential e(42.0);
-  for (const Distribution* d : {static_cast<const Distribution*>(&w),
-                                static_cast<const Distribution*>(&m),
-                                static_cast<const Distribution*>(&e)}) {
-    Rng bulk(5150), single(5150);
-    double out[97];
-    d->sample_n(bulk, out, 97);
-    for (int i = 0; i < 97; ++i) EXPECT_EQ(out[i], d->sample(single)) << "draw " << i;
-    EXPECT_EQ(bulk.uniform(), single.uniform());  // same stream position
-  }
-}
-
 }  // namespace
