@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ostream>
 #include <set>
 
 #include "src/analytic/coordination.h"
 #include "src/model/parameters.h"
 #include "src/model/san_model.h"
+#include "src/san/executor.h"
 
 namespace {
 
@@ -159,6 +163,54 @@ TEST(SanModel, InventoryListsPlacesAndActivities) {
   }
   EXPECT_GT(model.model().place_count(), 25u);
   EXPECT_GT(model.model().activity_count(), 12u);
+}
+
+/// What the executor's scheduler and refresh did over one run: the queue
+/// counters, the aborts, the enabling evaluations and the bits of the
+/// `useful` time-average.  Any change to the fire order, the RNG draw
+/// order or the abort bookkeeping moves at least one of them.
+struct ExecutorPin {
+  std::uint64_t scheduled, fired, cancelled, peak, aborts, evaluations, useful_bits;
+  bool operator==(const ExecutorPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ExecutorPin& p) {
+  return os << "{" << p.scheduled << ", " << p.fired << ", " << p.cancelled << ", " << p.peak
+            << ", " << p.aborts << ", " << p.evaluations << ", 0x" << std::hex << p.useful_bits
+            << std::dec << "}";
+}
+
+ExecutorPin run_executor(const Parameters& p) {
+  const SanCheckpointModel model{p};
+  ckptsim::san::Executor exec(model.model(), 42);
+  for (const auto& r : model.rate_rewards()) exec.rewards().add_rate(r);
+  for (const auto& r : model.impulse_rewards()) exec.rewards().add_impulse(r);
+  exec.run_until(2000.0 * kHour);
+  const auto q = exec.queue_stats();
+  return {q.scheduled, q.fired, q.cancelled, q.peak_size, exec.total_aborts(),
+          exec.enabling_evaluations(),
+          std::bit_cast<std::uint64_t>(exec.rewards().time_average("useful", exec.now()))};
+}
+
+TEST(SanExecutorPin, DefaultsAreUnchanged) {
+  EXPECT_EQ(run_executor(Parameters{}),
+            (ExecutorPin{119199, 110979, 8215, 6, 8215, 516564, 0x3fe37f04b2464648}));
+}
+
+TEST(SanExecutorPin, CorrelatedFailuresAreUnchanged) {
+  Parameters p;
+  p.prob_correlated = 0.2;
+  p.correlated_factor = 800.0;
+  EXPECT_EQ(run_executor(p),
+            (ExecutorPin{131128, 122368, 8756, 6, 8709, 710567, 0x3fe333721d63122f}));
+}
+
+TEST(SanExecutorPin, TimeoutWithGenericCorrelationIsUnchanged) {
+  Parameters p;
+  p.timeout = 100.0;
+  p.generic_correlated_coefficient = 0.0025;
+  EXPECT_EQ(run_executor(p),
+            (ExecutorPin{201408, 96181, 105222, 8, 10923, 549235, 0x3fa0b536f0cc2360}));
 }
 
 }  // namespace
