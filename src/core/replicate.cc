@@ -1,8 +1,8 @@
 #include "src/core/replicate.h"
 
 #include "src/san/executor.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
+#include "src/sim/slot_table.h"
 #include "src/snapshot/file.h"
 #include "src/snapshot/state_io.h"
 

@@ -12,7 +12,6 @@
 #include "src/model/parameters.h"
 #include "src/model/workload.h"
 #include "src/sim/distributions.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/rate_integral.h"
 #include "src/sim/rng.h"
 #include "src/sim/slot_table.h"

@@ -9,8 +9,8 @@
 #include "src/san/marking.h"
 #include "src/san/model.h"
 #include "src/san/reward.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
+#include "src/sim/slot_table.h"
 
 namespace ckptsim::san {
 
@@ -56,11 +56,17 @@ class LivelockError : public std::runtime_error {
 /// and is processed in the same order, so results are bit-identical to the
 /// full rescan — set_full_rescan(true) forces the O(all activities) scan
 /// for verification.
+///
+/// Scheduler: an activity has at most one pending completion, so the
+/// pending set is a sim::SlotTable with one slot per activity; a slot is
+/// armed exactly while its activity is activated, and the fired slot is the
+/// completing activity's index.
 class Executor {
  public:
   static constexpr std::uint64_t kInstantaneousGuard = 1'000'000;
 
-  /// The model must outlive the executor.  `seed` drives all sampling.
+  /// The model must be complete (at least one activity, none added later)
+  /// and outlive the executor.  `seed` drives all sampling.
   Executor(const Model& model, std::uint64_t seed);
 
   /// Reward variables to observe; configure before the first run call.
@@ -74,7 +80,7 @@ class Executor {
   /// Returns false when no timed activity is scheduled.
   bool step();
 
-  [[nodiscard]] double now() const noexcept { return queue_.now(); }
+  [[nodiscard]] double now() const noexcept { return slots_.now(); }
   [[nodiscard]] const Marking& marking() const noexcept { return marking_; }
   [[nodiscard]] Marking& marking() noexcept { return marking_; }
 
@@ -87,23 +93,25 @@ class Executor {
   /// reactivation resampling is not counted).
   [[nodiscard]] std::uint64_t total_aborts() const noexcept { return total_aborts_; }
 
-  /// Event-queue statistics of this replication (obs metrics registry).
-  [[nodiscard]] sim::QueueStats queue_stats() const noexcept { return queue_.stats(); }
+  /// Scheduler statistics of this replication (obs metrics registry);
+  /// compactions and peak_dead are always 0 (the slot table has no
+  /// tombstones).
+  [[nodiscard]] sim::QueueStats queue_stats() const noexcept { return slots_.stats(); }
 
   /// Watchdog: cap timed completions at `max_events` fired events (0 =
   /// unlimited); the run throws sim::EventBudgetExceeded past the cap.
   void set_event_budget(std::uint64_t max_events) noexcept {
-    queue_.set_fire_budget(max_events);
+    slots_.set_fire_budget(max_events);
   }
 
   /// Zero reward accumulators at the current time (end of warm-up).
   void reset_rewards() { rewards_.reset(now()); }
 
-  /// Post-fire hook forwarded to the event queue — the snapshot layer's
+  /// Post-fire hook forwarded to the scheduler — the snapshot layer's
   /// periodic capture boundary (same instant as the fire-budget watchdog).
   /// Set before the run starts.
   void set_fire_hook(std::uint64_t every, std::function<void()> hook) {
-    queue_.set_fire_hook(every, std::move(hook));
+    slots_.set_fire_hook(every, std::move(hook));
   }
 
   /// Force re-evaluation of enabling conditions after an external marking
@@ -123,27 +131,26 @@ class Executor {
   }
 
   /// Serialize the full mid-run state: marking (with dirty tracking), RNG
-  /// stream position, reward accumulators, per-activity activation state,
-  /// counters, and the event queue.  Requires a started executor (throws
+  /// stream position, reward accumulators, per-activity sampling versions,
+  /// counters, and the slot table.  Requires a started executor (throws
   /// std::logic_error otherwise).  Continuing a restored executor is
   /// bit-identical to never having stopped.
   void save_state(snapshot::StateWriter& w) const;
 
   /// Restore onto a freshly constructed executor over the same model (the
   /// constructor seed is irrelevant — the stream position is restored).
-  /// All structural re-initialization (activity orders, reward binding)
-  /// happens here; queue callbacks are rebuilt from the saved handle ids.
-  /// Any inconsistency throws snapshot::SnapshotError before the executor
+  /// Structural initialization (activity orders, reward binding) is the
+  /// same as a fresh start's; the dynamic state then comes from the
+  /// snapshot, and no refresh runs (the saved state is quiescent).  Any
+  /// inconsistency throws snapshot::SnapshotError before the executor
   /// is considered restored.
   void restore_state(snapshot::StateReader& r);
 
  private:
-  struct TimedState {
-    bool enabled = false;
-    sim::EventHandle handle;
-    std::uint64_t marking_version = 0;  // version when the latency was sampled
-  };
-
+  /// Mark the executor started, size the per-activity tables and derive
+  /// the activity orders and the reward binding from the model: the part
+  /// of a fresh start that a restore shares.
+  void init_structure();
   void ensure_started();
   void refresh();
   void fire(std::uint32_t activity_idx);
@@ -166,13 +173,15 @@ class Executor {
   /// The per-activity body of the timed reconciliation (schedule newly
   /// enabled, abort newly disabled, resample per reactivation policy).
   void reconcile_timed(std::uint32_t idx);
+  /// Sample the activity's latency and arm its slot.
+  void activate(std::uint32_t idx, const ActivitySpec& spec);
 
   const Model& model_;
   Marking marking_;
-  sim::EventQueue queue_;
+  sim::SlotTable<> slots_;  // one slot per activity, armed while activated
   sim::Rng rng_;
   RewardSet rewards_;
-  std::vector<TimedState> timed_;
+  std::vector<std::uint64_t> sampled_version_;  // per activity: version when sampled
   std::vector<std::uint32_t> instantaneous_order_;  // indices sorted by priority
   std::vector<std::uint64_t> firing_counts_;
   // Incremental-refresh state.

@@ -2,50 +2,26 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <new>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-namespace ckptsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace ckptsim::snapshot
+#include "src/sim/slot_table.h"
 
 namespace ckptsim::sim {
 
-/// Thrown by EventQueue when a fire budget (watchdog) is exhausted: the
-/// replication fired more events than the caller allowed, which the
-/// execution drivers convert into a structured kEventBudgetExceeded
-/// failure instead of a hung or runaway worker.
-class EventBudgetExceeded : public std::runtime_error {
- public:
-  explicit EventBudgetExceeded(std::uint64_t budget)
-      : std::runtime_error("EventQueue: fire budget of " + std::to_string(budget) +
-                           " events exhausted"),
-        budget_(budget) {}
-
-  [[nodiscard]] std::uint64_t budget() const noexcept { return budget_; }
-
- private:
-  std::uint64_t budget_;
-};
-
 /// Move-only callable with small-buffer storage, the event queue's callback
-/// type.  Callables up to `kInlineCapacity` bytes (the scheduling hot path:
-/// an executor/model pointer plus an activity index or member-function
-/// pointer) are stored inline — scheduling them performs no heap
+/// type.  Callables up to `kInlineCapacity` bytes (an object pointer plus
+/// an index or member-function pointer) are stored inline — scheduling them performs no heap
 /// allocation, unlike std::function whose small-object buffer is both
 /// smaller and implementation-defined.  Larger callables fall back to a
 /// single heap allocation, so arbitrary lambdas still work.
 class InlineCallback {
  public:
-  /// Sized so Entry{time, seq, id, fn} fills one 64-byte cache line and the
-  /// engines' `[this, member-pointer]` captures (24 bytes on Itanium ABI)
-  /// stay inline.
+  /// Sized so Entry{time, seq, id, fn} fills one 64-byte cache line and
+  /// `[this, member-pointer]` captures (24 bytes on Itanium ABI) stay
+  /// inline.
   static constexpr std::size_t kInlineCapacity = 32;
 
   InlineCallback() noexcept = default;
@@ -139,21 +115,10 @@ struct EventHandle {
   void clear() noexcept { id = 0; }
 };
 
-/// Lifetime statistics of one EventQueue, cheap enough to keep always-on
-/// (one compare/increment next to each heap operation).  `merge` combines
-/// queues from different replications: counts add, peaks take the maximum.
-struct QueueStats {
-  std::uint64_t scheduled = 0;    ///< schedule() calls
-  std::uint64_t fired = 0;        ///< events that actually ran
-  std::uint64_t cancelled = 0;    ///< cancel() calls that hit a pending event
-  std::uint64_t compactions = 0;  ///< tombstone-compaction passes
-  std::size_t peak_size = 0;      ///< max live events at any instant
-  std::size_t peak_dead = 0;      ///< max tombstones occupying pending-set slots
-
-  void merge(const QueueStats& o) noexcept;
-};
-
-/// Pending-event set for discrete-event simulation.
+/// General pending-event set with type-erased callbacks.  No engine runs
+/// on it: every engine schedules on SlotTable.  It is the reference that
+/// the SlotTable differential tests check the engines' scheduler against,
+/// and the pending-event layer that perfbench and bench_micro_engine time.
 ///
 /// Events fire in (time, insertion sequence) order: ties in time fire in
 /// insertion order, which makes runs fully deterministic.  Cancellation is
@@ -225,38 +190,8 @@ class EventQueue {
   /// compaction.
   [[nodiscard]] std::size_t dead_count() const noexcept { return heap_.size() - live_; }
 
-  /// Lifetime statistics (peaks, cancellations, compactions) for the obs
-  /// metrics registry.
+  /// Lifetime statistics (peaks, cancellations, compactions).
   [[nodiscard]] QueueStats stats() const noexcept;
-
-  /// Post-fire hook: invoked right after an event's callback returns — a
-  /// globally consistent instant, the model has fully processed the event —
-  /// whenever lifetime fired() is a multiple of `every` (0 disables).  The
-  /// snapshot layer hangs periodic state capture off this, reusing the same
-  /// event-granular boundary as the fire-budget watchdog.
-  void set_fire_hook(std::uint64_t every, std::function<void()> hook) {
-    hook_every_ = every;
-    hook_fn_ = std::move(hook);
-  }
-
-  /// Maps a live event id (the EventHandle the owner saved) back to its
-  /// callback during restore_state — closures cannot be serialized, so the
-  /// owning model re-supplies them per id.
-  using RebuildFn = std::function<Callback(std::uint64_t id)>;
-
-  /// Serialize the queue: clock, slot table (generations + freelist),
-  /// counters, and every live entry as (time, seq, id) in seq order.
-  /// Tombstones are dropped — they never affect fire order.  The fire
-  /// budget is an execution control owned by the caller and is not part of
-  /// the state.
-  void save_state(snapshot::StateWriter& w) const;
-
-  /// Restore onto a freshly constructed queue (throws std::logic_error
-  /// otherwise).  Validates everything before mutating: slot-table /
-  /// freelist / entry inconsistencies and unknown ids (snapshot::
-  /// SnapshotFault::kCorrupt), short payloads (kTruncated).  `rebuild` supplies the callback for each live
-  /// id; returning an empty callback rejects the restore.
-  void restore_state(snapshot::StateReader& r, const RebuildFn& rebuild);
 
  private:
   struct Entry {
@@ -322,9 +257,6 @@ class EventQueue {
   std::size_t peak_size_ = 0;
   mutable std::size_t peak_dead_ = 0;
   double now_ = 0.0;
-
-  std::uint64_t hook_every_ = 0;  ///< 0 = no post-fire hook
-  std::function<void()> hook_fn_;
 };
 
 }  // namespace ckptsim::sim

@@ -1,7 +1,21 @@
 #include "src/sim/slot_table.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+
+namespace ckptsim::sim {
+
+void QueueStats::merge(const QueueStats& o) noexcept {
+  scheduled += o.scheduled;
+  fired += o.fired;
+  cancelled += o.cancelled;
+  compactions += o.compactions;
+  peak_size = std::max(peak_size, o.peak_size);
+  peak_dead = std::max(peak_dead, o.peak_dead);
+}
+
+}  // namespace ckptsim::sim
 
 namespace ckptsim::sim::detail {
 

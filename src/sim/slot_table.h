@@ -8,14 +8,49 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "src/sim/event_queue.h"
 #include "src/snapshot/state_io.h"
 
 namespace ckptsim::sim {
+
+/// Thrown when a scheduler's fire budget (watchdog) is exhausted: the
+/// replication fired more events than the caller allowed, which the
+/// execution drivers convert into a structured kEventBudgetExceeded
+/// failure instead of a hung or runaway worker.  The message keeps its
+/// "EventQueue:" prefix because failure messages reach reports and pinned
+/// driver output.
+class EventBudgetExceeded : public std::runtime_error {
+ public:
+  explicit EventBudgetExceeded(std::uint64_t budget)
+      : std::runtime_error("EventQueue: fire budget of " + std::to_string(budget) +
+                           " events exhausted"),
+        budget_(budget) {}
+
+  [[nodiscard]] std::uint64_t budget() const noexcept { return budget_; }
+
+ private:
+  std::uint64_t budget_;
+};
+
+/// Lifetime statistics of one scheduler, cheap enough to keep always-on.
+/// `merge` combines schedulers from different replications: counts add,
+/// peaks take the maximum.  `compactions` and `peak_dead` count the heap
+/// EventQueue's tombstones; a SlotTable has none and leaves them 0.
+struct QueueStats {
+  std::uint64_t scheduled = 0;    ///< schedule() calls
+  std::uint64_t fired = 0;        ///< events that actually ran
+  std::uint64_t cancelled = 0;    ///< cancel() calls that hit a pending event
+  std::uint64_t compactions = 0;  ///< tombstone-compaction passes
+  std::size_t peak_size = 0;      ///< max live events at any instant
+  std::size_t peak_dead = 0;      ///< max tombstones occupying pending-set slots
+
+  void merge(const QueueStats& o) noexcept;
+};
 
 namespace detail {
 [[noreturn]] void throw_slot_bad_count();
@@ -26,30 +61,33 @@ namespace detail {
 }  // namespace detail
 
 /// Fixed-slot pending-event set for models that keep at most one pending
-/// event per event kind.
+/// event per event kind: the scheduler of every engine (the DES engines
+/// with one slot per event kind, the SAN executor with one per activity).
 ///
 /// Each slot holds one (time, insertion sequence) pair, meaningful while
 /// its bit in the armed mask is set; the mask spans as many 64-bit words as
 /// the slot count needs.  The next event is the argmin over the armed slots
-/// with ties in time broken by insertion sequence, exactly as EventQueue
-/// breaks them, so a model that re-arms a slot (cancel, then schedule with
-/// a fresh sequence number) wherever it would have cancelled and
-/// rescheduled a queue event fires in the same order and reports the same
-/// QueueStats.  The owner dispatches fired slots itself (a `switch`, no
-/// type-erased callbacks): scheduling, cancelling and firing touch only the
-/// preallocated table and never allocate.
+/// with ties in time broken by insertion sequence, exactly as the heap
+/// EventQueue (the tests' reference) breaks them, so a model that re-arms a
+/// slot (cancel, then schedule with a fresh sequence number) wherever it
+/// would have cancelled and rescheduled a queue event fires in the same
+/// order and reports the same QueueStats.  The owner dispatches fired slots
+/// itself (a `switch` or an index, no type-erased callbacks): scheduling,
+/// cancelling and firing touch only the preallocated table and never
+/// allocate.
 ///
-/// Execution controls mirror EventQueue's: a lifetime fire budget
-/// (EventBudgetExceeded before firing past it), a post-fire hook every N
-/// firings, and the horizon rule of run_until (events exactly at t_end
-/// fire, then the clock lands on t_end).
+/// Execution controls: a lifetime fire budget (EventBudgetExceeded before
+/// firing past it), a post-fire hook every N firings (the snapshot layer's
+/// capture boundary), and the horizon rule of run_until (events exactly at
+/// t_end fire, then the clock lands on t_end).
 ///
 /// Storage: `kCapacity` > 0 keeps up to that many slots inside the object,
 /// for the DES engines, whose slot count has a compile-time bound and whose
 /// events are so cheap that addressing the table directly instead of
 /// through heap pointers shows on the paper model (~4% of a replication in
 /// a single-core A/B run).  `kCapacity` == 0 sizes the table on the heap at
-/// construction, for any slot count.
+/// construction, for any slot count (the interference engine, the SAN
+/// executor).
 template <std::uint32_t kCapacity = 0>
 class SlotTable {
  public:

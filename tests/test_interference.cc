@@ -20,8 +20,8 @@
 #include "src/platform/interference.h"
 #include "src/platform/job_mix.h"
 #include "src/platform/pfs.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
+#include "src/sim/slot_table.h"
 #include "src/trace/event_log.h"
 
 namespace {
