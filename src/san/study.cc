@@ -114,9 +114,6 @@ StudyResult Study::run(const StudySpec& spec) const {
   // for any thread count.
   StudyResult result;
   result.failures = detail::failure_accounting(groups[0].reps);
-  // A recovered replication reports the attempt number of its last failed
-  // attempt, not the attempts it consumed.
-  for (ReplicationFailure& f : result.failures.recovered) --f.attempts;
   for (const auto& o : groups[0].reps) {
     if (!o.ok) continue;
     for (std::size_t k = 0; k < reward_names_.size(); ++k) {

@@ -242,7 +242,9 @@ constexpr std::uint64_t kStudyAdaptive = 0x6f5ec06b1482e07bULL;
 constexpr std::uint64_t kRunModelSkip = 0x6b0e1063353b578fULL;
 constexpr std::uint64_t kRunModelRetry = 0x264f595c12b393b5ULL;
 constexpr std::uint64_t kStudySkip = 0xeaf61ee0a5b90c6bULL;
-constexpr std::uint64_t kStudyRetry = 0x6740b4d033329d53ULL;
+// Re-pinned when Study stopped reporting a recovered replication's attempts
+// as one less than it consumed.
+constexpr std::uint64_t kStudyRetry = 0x5deae888c4a0d17fULL;
 
 #define EXPECT_PIN(actual, pinned) \
   EXPECT_EQ((actual), (pinned)) << "0x" << std::hex << (actual)
@@ -347,6 +349,9 @@ TEST(ReplicationDriver, StudyRetryIsPinned) {
   spec.watchdog.max_events = 312;
   const auto r = run_study(spec);
   EXPECT_EQ(r.failures.recovered.size(), 2u);
+  // Each recovered on its first retry, and reports the attempts it
+  // consumed, as every other driver does.
+  for (const auto& f : r.failures.recovered) EXPECT_EQ(f.attempts, 2u);
   EXPECT_PIN(study_digest(r), kStudyRetry);
 }
 
