@@ -6,22 +6,17 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/stats/batch_means.h"
 #include "src/stats/confidence.h"
-#include "src/stats/histogram.h"
 #include "src/stats/summary.h"
 
 namespace {
 
-using ckptsim::stats::BatchMeans;
 using ckptsim::stats::ConfidenceInterval;
-using ckptsim::stats::Histogram;
 using ckptsim::stats::mean_confidence;
 using ckptsim::stats::normal_critical;
 using ckptsim::stats::normal_quantile;
 using ckptsim::stats::student_t_critical;
 using ckptsim::stats::Summary;
-using ckptsim::stats::TimeBatchMeans;
 
 TEST(Summary, EmptyStateIsSafe) {
   Summary s;
@@ -213,88 +208,6 @@ TEST(MeanConfidence, CoverageOnNormalData) {
   const double coverage = static_cast<double>(covered) / trials;
   EXPECT_GT(coverage, 0.90);
   EXPECT_LT(coverage, 0.99);
-}
-
-TEST(BatchMeans, CutsBatchesCorrectly) {
-  BatchMeans bm(10);
-  for (int i = 0; i < 95; ++i) bm.add(1.0);
-  EXPECT_EQ(bm.batches(), 9u);  // the partial 10th batch is not counted
-  EXPECT_EQ(bm.observations(), 95u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 1.0);
-}
-
-TEST(BatchMeans, ReducesVarianceOfCorrelatedStream) {
-  // AR(1)-like positively correlated stream: batch means should have a
-  // tighter spread than raw observations scaled naively.
-  std::mt19937_64 gen(3);
-  std::normal_distribution<double> noise(0.0, 1.0);
-  BatchMeans bm(100);
-  Summary raw;
-  double x = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    x = 0.9 * x + noise(gen);
-    bm.add(x);
-    raw.add(x);
-  }
-  EXPECT_NEAR(bm.mean(), raw.mean(), 1e-9);
-  EXPECT_NEAR(bm.mean(), 0.0, 0.5);
-}
-
-TEST(BatchMeans, RejectsZeroBatch) { EXPECT_THROW(BatchMeans(0), std::invalid_argument); }
-
-TEST(TimeBatchMeans, IntegratesAcrossBoundaries) {
-  TimeBatchMeans tbm(10.0);
-  tbm.accumulate(1.0, 25.0);  // crosses two batch boundaries
-  EXPECT_EQ(tbm.batches(), 2u);
-  EXPECT_DOUBLE_EQ(tbm.mean(), 1.0);
-  tbm.accumulate(3.0, 5.0);  // completes the third batch: rate 1 for 5s, 3 for 5s
-  EXPECT_EQ(tbm.batches(), 3u);
-  EXPECT_NEAR(tbm.batch_summary().max(), 2.0, 1e-12);
-}
-
-TEST(TimeBatchMeans, RejectsBadInput) {
-  EXPECT_THROW(TimeBatchMeans(0.0), std::invalid_argument);
-  TimeBatchMeans tbm(1.0);
-  EXPECT_THROW(tbm.accumulate(1.0, -1.0), std::invalid_argument);
-}
-
-TEST(Histogram, CountsAndEdges) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1.0);
-  h.add(10.0);  // right edge is exclusive
-  EXPECT_EQ(h.count(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bucket_count(i), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(3), 4.0);
-}
-
-TEST(Histogram, CdfAndQuantileRoundTrip) {
-  Histogram h(0.0, 1.0, 100);
-  std::mt19937_64 gen(5);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  for (int i = 0; i < 100000; ++i) h.add(u(gen));
-  EXPECT_NEAR(h.cdf(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_DOUBLE_EQ(h.cdf(-0.1), 0.0);
-  EXPECT_DOUBLE_EQ(h.cdf(2.0), 1.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, AsciiRenders) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_NE(art.find("[0, 1)"), std::string::npos);
 }
 
 }  // namespace
