@@ -258,8 +258,8 @@ EngineSample run_executor_window(const ckptsim::san::Model& m, bool full_rescan,
 EngineSample run_queue_window(std::uint64_t events) {
   ckptsim::sim::EventQueue q;
   std::uint64_t counter = 0;
-  // Self-rescheduling payload mirroring the executor's callback shape
-  // (pointer + index); warm-up settles the heap capacity and slot table.
+  // Self-rescheduling payload with an inline capture; warm-up settles the
+  // heap capacity and the id table.
   const auto pump = [&q, &counter](std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) {
       q.schedule_in(1.0, [&counter] { ++counter; });
@@ -362,7 +362,9 @@ int run_engine_report(const std::string& path) {
   w.kv("san_checkpoint_speedup_vs_full_rescan",
        ckpt_inc.seconds > 0.0 ? ckpt_full.seconds / ckpt_inc.seconds : 0.0);
 
-  // The wide net: per-event work must not scale with model size.
+  // The wide net: per-event refresh work must not scale with model size.
+  // The scheduler's argmin does, since it visits every armed slot and
+  // every arrival process (half the net's activities) is always armed.
   const auto wide = make_wide_model(128);
   const auto wide_inc = run_executor_window(wide, false, 50.0, 1050.0);
   const auto wide_full = run_executor_window(wide, true, 50.0, 1050.0);
