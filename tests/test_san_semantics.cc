@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/analytic/birth_death.h"
 #include "src/san/executor.h"
@@ -408,6 +410,131 @@ TEST(Executor, NegativeLatencyOnResampleThrows) {
 
   Executor exec(m, 1);
   EXPECT_THROW(exec.run_until(2.0), std::logic_error);
+}
+
+// --- Scheduler: one slot per activity ------------------------------------
+
+/// A ticker that fires every `period` forever: one timed activity that
+/// consumes and returns the token of its own place.
+Model ticker_model(double period) {
+  Model m;
+  const PlaceId noise = m.add_place("noise", 1);
+  auto ticker = timed("ticker", period);
+  ticker.input_arcs = {InputArc{noise, 1}};
+  ticker.output_arcs = {OutputArc{noise, 1}};
+  m.add_activity(std::move(ticker));
+  return m;
+}
+
+TEST(Executor, EventBudgetSetBeforeFirstRunStopsTheRun) {
+  // The slot table exists from construction, so a budget set before the
+  // first run call is the one the run obeys.
+  const Model m = ticker_model(1.0);
+  Executor exec(m, 1);
+  exec.set_event_budget(5);
+  try {
+    exec.run_until(100.0);
+    FAIL() << "the run did not stop at its budget";
+  } catch (const ckptsim::sim::EventBudgetExceeded& e) {
+    EXPECT_EQ(e.budget(), 5u);
+    EXPECT_STREQ(e.what(), "EventQueue: fire budget of 5 events exhausted");
+  }
+  EXPECT_EQ(exec.total_firings(), 5u);
+  EXPECT_EQ(exec.queue_stats().fired, 5u);
+  EXPECT_EQ(exec.now(), 5.0);
+}
+
+TEST(Executor, FireHookSetBeforeFirstRunSeesEveryNthCompletion) {
+  const Model m = ticker_model(1.0);
+  Executor exec(m, 1);
+  std::vector<double> times;
+  std::vector<std::uint64_t> firings;
+  exec.set_fire_hook(3, [&] {
+    times.push_back(exec.now());
+    firings.push_back(exec.total_firings());
+  });
+  exec.run_until(10.0);
+  // The hook runs after the completion it follows has been applied.
+  EXPECT_EQ(times, (std::vector<double>{3.0, 6.0, 9.0}));
+  EXPECT_EQ(firings, (std::vector<std::uint64_t>{3, 6, 9}));
+}
+
+TEST(Executor, QueueStatsCountActivationsCompletionsAndAborts) {
+  // Same net as DisabledActivityAborts: both activities are activated at
+  // t=0, thief completes at t=1 and aborts slow.
+  Model m;
+  const PlaceId p = m.add_place("p", 1);
+  const PlaceId stolen = m.add_place("stolen", 0);
+  auto slow = timed("slow", 10.0);
+  slow.input_arcs = {InputArc{p, 1}};
+  m.add_activity(std::move(slow));
+  auto thief = timed("thief", 1.0);
+  thief.input_arcs = {InputArc{p, 1}};
+  thief.output_arcs = {OutputArc{stolen, 1}};
+  m.add_activity(std::move(thief));
+
+  Executor exec(m, 1);
+  exec.run_until(100.0);
+  const auto stats = exec.queue_stats();
+  EXPECT_EQ(stats.scheduled, 2u);
+  EXPECT_EQ(stats.fired, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.peak_size, 2u);
+  EXPECT_EQ(stats.compactions, 0u);
+  EXPECT_EQ(stats.peak_dead, 0u);
+  EXPECT_EQ(exec.total_aborts(), 1u);
+  EXPECT_FALSE(exec.step());  // nothing is left armed
+}
+
+TEST(Executor, ResampleReArmsWithoutCountingAnAbort) {
+  // main (kResample, 10) is cancelled and re-armed at every ticker
+  // completion (t=3,6,9): a resample cancels a pending completion but is
+  // not an abort.
+  Model m = ticker_model(3.0);
+  const PlaceId go = m.add_place("go", 1);
+  auto main_act = timed("main", 10.0);
+  main_act.input_arcs = {InputArc{go, 1}};
+  main_act.reactivation = Reactivation::kResample;
+  m.add_activity(std::move(main_act));
+
+  Executor exec(m, 1);
+  exec.run_until(11.0);
+  const auto stats = exec.queue_stats();
+  EXPECT_EQ(exec.firings("ticker"), 3u);
+  EXPECT_EQ(exec.firings("main"), 0u);
+  EXPECT_EQ(stats.fired, 3u);
+  EXPECT_EQ(stats.cancelled, 3u);
+  EXPECT_EQ(exec.total_aborts(), 0u);
+  // Two activations at t=0, then each ticker completion re-arms both.
+  EXPECT_EQ(stats.scheduled, 2u + 3u * 2u);
+  EXPECT_EQ(stats.peak_size, 2u);
+}
+
+TEST(Executor, ModelWiderThanOneMaskWordFiresInTimeOrder) {
+  // 70 one-shot activities span two 64-bit words of armed slots; activity
+  // i completes at 70 - i, so the later-defined ones fire first.
+  constexpr int kWidth = 70;
+  Model m;
+  const PlaceId log = m.add_place("log", 0);
+  std::vector<PlaceId> go;
+  for (int i = 0; i < kWidth; ++i) {
+    go.push_back(m.add_place("go" + std::to_string(i), 1));
+    auto a = timed("a" + std::to_string(i), static_cast<double>(kWidth - i));
+    a.input_arcs = {InputArc{go.back(), 1}};
+    a.output_arcs = {OutputArc{log, 1}};
+    m.add_activity(std::move(a));
+  }
+
+  Executor exec(m, 1);
+  exec.run_until(5.0);
+  EXPECT_EQ(exec.marking().tokens(log), 5);
+  for (int i = 0; i < kWidth; ++i) {
+    EXPECT_EQ(exec.firings("a" + std::to_string(i)), i >= kWidth - 5 ? 1u : 0u) << i;
+  }
+  exec.run_until(100.0);
+  EXPECT_EQ(exec.marking().tokens(log), kWidth);
+  EXPECT_EQ(exec.total_firings(), static_cast<std::uint64_t>(kWidth));
+  EXPECT_EQ(exec.queue_stats().peak_size, static_cast<std::size_t>(kWidth));
 }
 
 }  // namespace
