@@ -94,34 +94,41 @@ DesModel::DesModel(const Parameters& params, std::uint64_t seed, std::uint32_t n
 void DesModel::schedule_at(std::uint32_t slot, double t) { slots_.schedule_at(slot, t); }
 
 void DesModel::run_until(double t_end) {
-  slots_.run_until(t_end, [this](std::uint32_t slot) { dispatch(slot); });
+  slots_.run_until(
+      t_end, [this](std::uint32_t slot) { dispatch(slot); },
+      [this](double t, std::uint64_t seq) { catch_up_app(t, seq); });
+}
+
+bool DesModel::fire_next(double t_end) {
+  return slots_.fire_next(
+      t_end, [this](std::uint32_t slot) { dispatch(slot); },
+      [this](double t, std::uint64_t seq) { catch_up_app(t, seq); });
 }
 
 void DesModel::dispatch(std::uint32_t slot) {
   switch (slot) {
-    case kSlotCkptInit: return on_ckpt_init();
-    case kSlotTimeout: return on_timeout();
-    case kSlotBcast: return on_bcast_received();
-    case kSlotCoord: return on_coordination_done();
-    case kSlotDump: return on_dump_done();
-    case kSlotFsWrite: return on_fs_write_done();
-    case kSlotAppWrite: return on_app_write_done();
-    case kSlotAppToggle: return on_app_toggle();
-    case kSlotStage1Done: return on_stage1_done();
-    case kSlotRecoveryDone: return on_recovery_done();
-    case kSlotReboot: return on_reboot_done();
-    case kSlotIoRestart: return on_io_restart_done();
-    case kSlotFailCompute: return on_compute_failure(true);
-    case kSlotFailIo: return on_io_failure();
-    case kSlotFailMaster: return on_master_failure();
-    case kSlotFailExtra: return on_compute_failure(false);
-    case kSlotWindowEnd: return on_prop_window_end();
-    case kSlotGenericToggle: return on_generic_toggle();
-    case kSlotJobDone:
-      job_completed_ = true;
-      return;
-    default: return fire_extension(slot);
+    case kSlotCkptInit: on_ckpt_init(); break;
+    case kSlotTimeout: on_timeout(); break;
+    case kSlotBcast: on_bcast_received(); break;
+    case kSlotCoord: on_coordination_done(); break;
+    case kSlotDump: on_dump_done(); break;
+    case kSlotFsWrite: on_fs_write_done(); break;
+    case kSlotAppWrite: on_app_write_done(); break;
+    case kSlotBurstEnd: on_app_edge(now()); break;
+    case kSlotStage1Done: on_stage1_done(); break;
+    case kSlotRecoveryDone: on_recovery_done(); break;
+    case kSlotReboot: on_reboot_done(); break;
+    case kSlotIoRestart: on_io_restart_done(); break;
+    case kSlotFailCompute: on_compute_failure(true); break;
+    case kSlotFailIo: on_io_failure(); break;
+    case kSlotFailMaster: on_master_failure(); break;
+    case kSlotFailExtra: on_compute_failure(false); break;
+    case kSlotWindowEnd: on_prop_window_end(); break;
+    case kSlotGenericToggle: on_generic_toggle(); break;
+    case kSlotJobDone: job_completed_ = true; break;
+    default: fire_extension(slot); break;
   }
+  sync_app_slots();
 }
 
 void DesModel::fire_extension(std::uint32_t slot) {
@@ -247,7 +254,7 @@ void DesModel::start() {
   executing_.set_rate(0.0, 1.0);
   state_time_[state_category(compute_)].set_rate(0.0, 1.0);
   schedule_next_init();
-  reset_app();
+  anchor_app(true);
   schedule_failure_processes();
   if (p_.generic_correlated_coefficient > 0.0 && !p_.generic_correlated_smooth) {
     const GenericPhases phases(p_.generic_correlated_coefficient, p_.correlated_window);
@@ -304,8 +311,7 @@ double DesModel::run_until_work(double useful_work, double max_time) {
   }
   job_target_ = useful_work;
   start();  // set_useful_rate(1.0) inside start() arms the completion event
-  while (!job_completed_ &&
-         slots_.fire_next(max_time, [this](std::uint32_t slot) { dispatch(slot); })) {
+  while (!job_completed_ && fire_next(max_time)) {
   }
   return job_completed_ ? now() : std::numeric_limits<double>::infinity();
 }
@@ -334,14 +340,6 @@ void DesModel::refresh_job_event() {
 void DesModel::schedule_next_init() {
   cancel(kSlotCkptInit);
   schedule_in(kSlotCkptInit, p_.checkpoint_interval);
-}
-
-void DesModel::reset_app() {
-  cancel(kSlotAppToggle);
-  app_phase_ = AppPhase::kCompute;
-  if (p_.app_io_enabled && workload_.io_phase > 0.0) {
-    schedule_in(kSlotAppToggle, workload_.compute_phase);
-  }
 }
 
 void DesModel::on_ckpt_init() {
@@ -375,7 +373,7 @@ void DesModel::begin_quiesce() {
   enter_state(ComputeState::kQuiescing);
   set_useful_rate(0.0);
   executing_.set_rate(now(), 0.0);
-  cancel(kSlotAppToggle);  // application frozen until resume
+  anchor_app(false);  // application frozen until resume
   schedule_in(kSlotCoord, sample_coordination_time());
 }
 
@@ -447,7 +445,7 @@ void DesModel::resume_execution() {
   enter_state(ComputeState::kExecuting);
   set_useful_rate(1.0);
   executing_.set_rate(now(), 1.0);
-  reset_app();
+  anchor_app(true);
   schedule_next_init();
 }
 
@@ -491,28 +489,94 @@ void DesModel::on_timeout() {
 // ---------------------------------------------------------------------------
 // application workload
 
-void DesModel::on_app_toggle() {
-  if (compute_ != ComputeState::kExecuting) {
-    throw std::logic_error("DesModel: application phase toggled while not executing");
+void DesModel::anchor_app(bool running) {
+  cancel(kSlotBurstEnd);
+  app_running_ = false;
+  if (!running) return;
+  app_phase_ = AppPhase::kCompute;
+  if (p_.app_io_enabled && workload_.io_phase > 0.0) {
+    app_running_ = true;
+    app_edge_time_ = now() + workload_.compute_phase;
+    app_edge_seq_ = slots_.reserve_seq();
   }
+}
+
+void DesModel::on_app_edge(double t) {
   if (app_phase_ == AppPhase::kCompute) {
     app_phase_ = AppPhase::kIo;
-    note(trace::EventKind::kAppPhaseIo);
-    schedule_in(kSlotAppToggle, workload_.io_phase);
+    note_at(t, trace::EventKind::kAppPhaseIo);
+    app_edge_time_ = t + workload_.io_phase;
+    app_edge_seq_ = slots_.reserve_seq();
+    return;
+  }
+  // I/O burst finished: the data sits in the I/O-node buffers and is
+  // written to the file system in the background.
+  app_phase_ = AppPhase::kCompute;
+  note_at(t, trace::EventKind::kAppPhaseCompute);
+  if (p_.app_io_data_per_node > 0.0) {
+    ++pending_app_writes_;
+    // While the application runs no dump or recovery read waits on the
+    // I/O nodes, so an idle I/O node takes the write at once.
+    if (io_ == IoState::kIdle) start_next_app_write(t);
+  }
+  if (quiesce_requested_) {
+    // Only the armed kSlotBurstEnd gets here: a deferred quiesce starts.
+    quiesce_requested_ = false;
+    begin_quiesce();
   } else {
-    // I/O burst finished: the data sits in the I/O-node buffers and is
-    // written to the file system in the background.
-    app_phase_ = AppPhase::kCompute;
-    note(trace::EventKind::kAppPhaseCompute);
-    if (p_.app_io_data_per_node > 0.0) {
-      ++pending_app_writes_;
-      try_start_io_work();
-    }
-    if (quiesce_requested_) {
-      quiesce_requested_ = false;
-      begin_quiesce();
+    app_edge_time_ = t + workload_.compute_phase;
+    app_edge_seq_ = slots_.reserve_seq();
+  }
+}
+
+void DesModel::start_next_app_write(double t) {
+  if (pending_app_writes_ == 0) return;
+  --pending_app_writes_;
+  io_ = IoState::kWritingAppData;
+  app_write_time_ = t + io_timing_.app_write;
+  app_write_seq_ = slots_.reserve_seq();
+}
+
+void DesModel::catch_up_app(double t, std::uint64_t seq) {
+  const auto before = [](double at, std::uint64_t as, double bt, std::uint64_t bs) {
+    return at < bt || (at == bt && as < bs);
+  };
+  for (;;) {
+    const bool edge = app_running_ && !slots_.armed(kSlotBurstEnd) &&
+                      before(app_edge_time_, app_edge_seq_, t, seq);
+    const bool write = io_ == IoState::kWritingAppData && !slots_.armed(kSlotAppWrite) &&
+                       before(app_write_time_, app_write_seq_, t, seq);
+    if (edge && !(write && before(app_write_time_, app_write_seq_, app_edge_time_,
+                                  app_edge_seq_))) {
+      on_app_edge(app_edge_time_);
+    } else if (write) {
+      // Nothing waits on this write (it would be armed otherwise): the
+      // I/O node just moves on to the next queued one.
+      io_ = IoState::kIdle;
+      start_next_app_write(app_write_time_);
     } else {
-      schedule_in(kSlotAppToggle, workload_.compute_phase);
+      return;
+    }
+  }
+}
+
+void DesModel::sync_app_slots() {
+  const bool burst_wait = quiesce_requested_ && app_running_;
+  if (burst_wait != slots_.armed(kSlotBurstEnd)) {
+    if (burst_wait) {
+      slots_.schedule_reserved(kSlotBurstEnd, app_edge_time_, app_edge_seq_);
+    } else {
+      cancel(kSlotBurstEnd);
+    }
+  }
+  const bool write_wait =
+      io_ == IoState::kWritingAppData &&
+      (recovery_wait_io_ || (want_dump_ && compute_ == ComputeState::kWaitIoForDump));
+  if (write_wait != slots_.armed(kSlotAppWrite)) {
+    if (write_wait) {
+      slots_.schedule_reserved(kSlotAppWrite, app_write_time_, app_write_seq_);
+    } else {
+      cancel(kSlotAppWrite);
     }
   }
 }
@@ -564,7 +628,7 @@ void DesModel::on_compute_failure(bool independent) {
   cancel_protocol_events();
   if (io_ == IoState::kReceivingDump) io_ = IoState::kIdle;
   master_ = MasterState::kSleep;
-  cancel(kSlotAppToggle);
+  anchor_app(false);
 
   const double target = rollback_target();
   const double loss = useful_.value(now()) - target;
@@ -717,7 +781,7 @@ void DesModel::on_io_failure() {
           enter_state(ComputeState::kExecuting);
         }
         master_ = MasterState::kSleep;
-        cancel(kSlotAppToggle);
+        anchor_app(false);
         const double target = rollback_target();
         const double loss = useful_.value(now()) - target;
         charge_loss(loss);
@@ -781,11 +845,7 @@ void DesModel::try_start_io_work() {
     start_dump();
     return;
   }
-  if (pending_app_writes_ > 0) {
-    --pending_app_writes_;
-    io_ = IoState::kWritingAppData;
-    schedule_in(kSlotAppWrite, io_timing_.app_write);
-  }
+  start_next_app_write(now());
 }
 
 void DesModel::on_app_write_done() {
@@ -862,6 +922,11 @@ void DesModel::save_state(snapshot::StateWriter& w) const {
   w.b(recovery_wait_io_);
   w.u32(pending_app_writes_);
   w.u32(failed_recoveries_);
+  w.b(app_running_);
+  w.f64(app_edge_time_);
+  w.u64(app_edge_seq_);
+  w.f64(app_write_time_);
+  w.u64(app_write_seq_);
   w.b(buffered_valid_);
   w.f64(work_at_buffered_);
   w.f64(work_at_committed_);
@@ -928,6 +993,11 @@ void DesModel::restore_state(snapshot::StateReader& r) {
   recovery_wait_io_ = r.b();
   pending_app_writes_ = r.u32();
   failed_recoveries_ = r.u32();
+  app_running_ = r.b();
+  app_edge_time_ = r.f64();
+  app_edge_seq_ = r.u64();
+  app_write_time_ = r.f64();
+  app_write_seq_ = r.u64();
   buffered_valid_ = r.b();
   work_at_buffered_ = r.f64();
   work_at_committed_ = r.f64();
@@ -955,6 +1025,15 @@ void DesModel::restore_state(snapshot::StateReader& r) {
     }
   }
   slots_.restore_state(r);
+  // The replayed edges must lie ahead of the clock, under sequence numbers
+  // the slot table already handed out.
+  const auto bad_edge = [this](double t, std::uint64_t seq) {
+    return !std::isfinite(t) || t < now() || seq >= slots_.next_seq();
+  };
+  if ((app_running_ && bad_edge(app_edge_time_, app_edge_seq_)) ||
+      (io_ == IoState::kWritingAppData && bad_edge(app_write_time_, app_write_seq_))) {
+    throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: bad application-cycle anchor");
+  }
   started_ = true;
 }
 

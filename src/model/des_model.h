@@ -56,6 +56,16 @@ namespace ckptsim {
 /// their own slots after kNumBaseSlots and handle them in fire_extension().
 /// Scheduling, cancelling and firing touch only the fixed table: the run
 /// loop never allocates.
+///
+/// The BSP application cycle (phase edges and the background app-data
+/// writes) is deterministic and draws nothing, so it is replayed, not
+/// scheduled: the model keeps an anchor (phase, next edge, write in
+/// service) and, before each event fires and at the end of each run
+/// segment, replays every edge ordered before it by the table's
+/// (time, sequence) rule — each edge reserves the sequence number its
+/// scheduled event would have had.  Only an edge a protocol step waits on
+/// (the burst end behind a deferred quiesce, the write a dump or a stage-1
+/// read waits for) is armed as a real slot, under its reserved number.
 class DesModel {
  public:
   /// `params` is validated on construction; `seed` drives all stochastic
@@ -88,10 +98,11 @@ class DesModel {
   }
 
   /// Serialize the full mid-replication state: all eight RNG streams, the
-  /// protocol/application/I-O/master state machines, checkpoint and
-  /// correlation bookkeeping, reward integrals, counters, warm-up
-  /// baselines, and the scheduler (clock, counters, slot table).  Requires
-  /// a started model (throws std::logic_error otherwise).
+  /// protocol/application/I-O/master state machines and the
+  /// application-cycle anchor (replayed edges and their sequence numbers),
+  /// checkpoint and correlation bookkeeping, reward integrals, counters,
+  /// warm-up baselines, and the scheduler (clock, counters, slot table).
+  /// Requires a started model (throws std::logic_error otherwise).
   void save_state(snapshot::StateWriter& w) const;
 
   /// Restore onto a freshly constructed model built from the *same*
@@ -140,6 +151,9 @@ class DesModel {
   /// Event slots of the base model, one per event kind.  The stage-1 read
   /// and the stage-2 recovery share a recovery timer but get a slot each
   /// (at most one is ever armed; cancel_recovery() clears both).
+  /// kSlotAppWrite and kSlotBurstEnd are armed only while a protocol step
+  /// waits on the application cycle (sync_app_slots); the cycle is replayed
+  /// otherwise.
   enum Slot : std::uint32_t {
     kSlotCkptInit = 0,
     kSlotTimeout,
@@ -148,7 +162,7 @@ class DesModel {
     kSlotDump,
     kSlotFsWrite,
     kSlotAppWrite,
-    kSlotAppToggle,
+    kSlotBurstEnd,
     kSlotStage1Done,
     kSlotRecoveryDone,
     kSlotReboot,
@@ -228,10 +242,21 @@ class DesModel {
   void abort_protocol(std::uint64_t RunCounters::* reason);
   void resume_execution();
   void schedule_next_init();
-  void reset_app();
 
-  // --- application workload ---
-  void on_app_toggle();
+  // --- application workload (replayed, see the class comment) ---
+  /// The one place the cycle is frozen or restarted: `running` false
+  /// stops its phase edges (quiesce, pause, rollback); true restarts it at
+  /// now() in its compute phase (resume).  The write queue is unaffected.
+  void anchor_app(bool running);
+  /// Process the phase edge due at `t` (burst start or burst end).
+  void on_app_edge(double t);
+  /// Start the next queued app-data write at `t`, if any.
+  void start_next_app_write(double t);
+  /// Replay every application edge ordered before (t, seq).
+  void catch_up_app(double t, std::uint64_t seq);
+  /// Arm (or disarm) kSlotBurstEnd / kSlotAppWrite at their replayed keys
+  /// exactly while a protocol step waits on them; runs after every event.
+  void sync_app_slots();
 
   // --- failures & recovery ---
   void on_compute_failure(bool independent);
@@ -322,8 +347,9 @@ class DesModel {
   [[nodiscard]] double stage1_read_time() const noexcept;
   /// Keep the job-completion event aligned with the useful-work integral.
   void refresh_job_event();
-  void note(trace::EventKind kind, double value = 0.0) {
-    if (log_ != nullptr) log_->record(now(), kind, value);
+  void note(trace::EventKind kind, double value = 0.0) { note_at(now(), kind, value); }
+  void note_at(double t, trace::EventKind kind, double value = 0.0) {
+    if (log_ != nullptr) log_->record(t, kind, value);
     if (event_counts_ != nullptr) event_counts_->bump(kind);
   }
 
@@ -352,6 +378,13 @@ class DesModel {
   bool recovery_wait_io_ = false;
   std::uint32_t pending_app_writes_ = 0;
   std::uint32_t failed_recoveries_ = 0;
+
+  // application-cycle anchor: each edge's time and reserved sequence number
+  bool app_running_ = false;        // phase edges pending (application executing)
+  double app_edge_time_ = 0.0;      // next phase edge, while app_running_
+  std::uint64_t app_edge_seq_ = 0;
+  double app_write_time_ = 0.0;     // write completion, while io_ == kWritingAppData
+  std::uint64_t app_write_seq_ = 0;
 
   // checkpoint bookkeeping (useful-work integral values at capture points)
   bool buffered_valid_ = false;
@@ -400,6 +433,8 @@ class DesModel {
  private:
   /// Fire events up to and including `t_end`, then land the clock on it.
   void run_until(double t_end);
+  /// Fire the next event due by `t_end`; false when there is none.
+  bool fire_next(double t_end);
   void dispatch(std::uint32_t slot);
 
   sim::SlotTable<kMaxSlots> slots_;

@@ -127,7 +127,7 @@ void ProactiveModel::begin_pause(PauseKind kind, double duration) {
   enter_state(ComputeState::kQuiescing);
   set_useful_rate(0.0);
   executing_.set_rate(now(), 0.0);
-  cancel(kSlotAppToggle);  // application frozen until resume
+  anchor_app(false);  // application frozen until resume
   schedule_in(kSlotPause, duration);
 }
 

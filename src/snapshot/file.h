@@ -8,7 +8,7 @@ namespace ckptsim::snapshot {
 
 /// Bump on ANY payload-layout change: restore of a different version must be
 /// rejected (kVersionMismatch), never guessed at.
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// State kinds carried by the container.  A reader must name the kind it
 /// expects; anything else is rejected (kKindMismatch) before the payload is

@@ -240,7 +240,11 @@ constexpr std::uint64_t kInterferenceK3 = 0x34b733caeb135907ULL;
 constexpr std::uint64_t kStudyFixed = 0x0b8bafeb9e6060fdULL;
 constexpr std::uint64_t kStudyAdaptive = 0x6f5ec06b1482e07bULL;
 constexpr std::uint64_t kRunModelSkip = 0x6b0e1063353b578fULL;
-constexpr std::uint64_t kRunModelRetry = 0x264f595c12b393b5ULL;
+// Re-pinned when the DES stopped firing application-cycle events: the
+// watchdog budget moved from 17800 to 2600 fired events to keep failing
+// the same replications, and replication 5 now recovers on its second
+// attempt instead of its third.
+constexpr std::uint64_t kRunModelRetry = 0x13672cb120688ca4ULL;
 constexpr std::uint64_t kStudySkip = 0xeaf61ee0a5b90c6bULL;
 // Re-pinned when Study stopped reporting a recovered replication's attempts
 // as one less than it consumed.
@@ -324,7 +328,7 @@ TEST(ReplicationDriver, RunModelRetryIsPinned) {
   RunSpec spec = fast_spec(6);
   spec.on_failure.mode = FailurePolicy::Mode::kRetry;
   spec.on_failure.max_retries = 4;
-  spec.watchdog.max_events = 17800;
+  spec.watchdog.max_events = 2600;
   spec.fault_injection = [](std::size_t rep, std::size_t attempt) {
     if (rep == 1 && attempt == 0) throw std::runtime_error("transient hiccup");
   };
