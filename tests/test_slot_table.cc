@@ -126,6 +126,44 @@ TEST(SlotTable, FireBudgetThrowsBeforeFiringPastIt) {
   EXPECT_EQ(table.stats().fired, 2u);
 }
 
+TEST(SlotTable, ReservedSequenceNumbersOrderReplayedEdges) {
+  // A reserved number is spent like an arm's: a later arm ties after it,
+  // and arming under it later keeps the edge's place in the tie order.
+  Table table(3);
+  const std::uint64_t edge = table.reserve_seq();  // a replayed edge at t = 5
+  table.schedule_at(0, 5.0);
+  EXPECT_EQ(table.next_seq(), 2u);
+  table.schedule_reserved(1, 5.0, edge);
+  EXPECT_EQ(fire_all(table, 10.0), (std::vector<std::uint32_t>{1, 0}));
+  EXPECT_EQ(table.stats().scheduled, 2u);  // arms, not sequence numbers
+}
+
+TEST(SlotTable, CatchUpSeesEachFiringKeyThenTheEnd) {
+  Table table(2);
+  table.schedule_at(0, 1.0);
+  table.schedule_at(1, 3.0);
+  std::vector<std::pair<double, std::uint64_t>> keys;
+  std::vector<std::uint32_t> fired;
+  table.run_until(
+      2.0, [&](std::uint32_t slot) { fired.push_back(slot); },
+      [&](double t, std::uint64_t seq) { keys.emplace_back(t, seq); });
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{0}));
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0], (std::pair<double, std::uint64_t>{1.0, 0}));
+  EXPECT_EQ(keys[1], (std::pair<double, std::uint64_t>{
+                         2.0, std::numeric_limits<std::uint64_t>::max()}));
+
+  // The budget trips before the catch-up: a killed run replays nothing
+  // past its last fired event.
+  table.set_fire_budget(1);
+  keys.clear();
+  EXPECT_THROW(table.run_until(
+                   5.0, [](std::uint32_t) {},
+                   [&](double t, std::uint64_t seq) { keys.emplace_back(t, seq); }),
+               EventBudgetExceeded);
+  EXPECT_TRUE(keys.empty());
+}
+
 TEST(SlotTable, HookRunsAfterEveryNthDispatch) {
   Table table(3);
   std::vector<int> order;

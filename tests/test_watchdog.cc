@@ -115,6 +115,11 @@ TEST(Watchdog, DesModelSetEventBudgetThrowsRawException) {
   ckptsim::DesModel model(Parameters{}, ckptsim::sim::replication_seed(42, 0));
   model.set_event_budget(10);
   EXPECT_THROW((void)model.run(0.0, 300.0 * kHour), ckptsim::sim::EventBudgetExceeded);
+  // The budget counts fired events only; the unbudgeted replication fires
+  // far more than 10, so every 10-event budget above trips mid-run.
+  ckptsim::DesModel unbudgeted(Parameters{}, ckptsim::sim::replication_seed(42, 0));
+  (void)unbudgeted.run(0.0, 300.0 * kHour);
+  EXPECT_GT(unbudgeted.queue_stats().fired, 100u);
 }
 
 }  // namespace
